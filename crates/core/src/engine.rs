@@ -9,11 +9,11 @@
 //!
 //! ```text
 //!   ingest_batch(&[(key, value), …])
-//!        │  phase 1 — parallel route: the batch splits into chunks; each
-//!        ▼  chunk fans to a worker that hashes its keys (batched FNV-1a,
-//!           one hash per record, reused for the interner probe *and* the
-//!           consistent-hash ring at debut) and buckets records into
-//!           per-(chunk, shard) sub-partitions over reusable scratch
+//!        │  phase 1 — route: the batch splits into chunks; each chunk is
+//!        ▼  hashed (batched FNV-1a, one hash per record, reused for the
+//!           interner probe *and* the consistent-hash ring at debut) and
+//!           bucketed into per-(chunk, shard) sub-partitions over reusable
+//!           scratch
 //!   ┌ chunk 0 ┐ ┌ chunk 1 ┐ ┌ chunk 2 ┐ ┌ chunk 3 ┐   debuting keys miss
 //!   │ w0 route│ │ w1 route│ │ w0 route│ │ w1 route│   every chunk and are
 //!   └─┬─────┬─┘ └─┬─────┬─┘ └─┬─────┬─┘ └─┬─────┬─┘   interned serially in
@@ -22,7 +22,7 @@
 //!        │  phase 2 — shard ingest: each busy shard concatenates the
 //!        ▼  sub-partitions addressed to it *in chunk order* (restoring
 //!           every stream's global arrival order — bit-identity) and
-//!           ingests on its persistent worker
+//!           ingests
 //!   ┌─────────┐  ┌─────────┐       ┌─────────┐   one *persistent* worker
 //!   │ shard 0 │  │ shard 1 │  ...  │ shard S │   thread per shard, spawned
 //!   │ ┌─────┐ │  │ ┌─────┐ │       │ ┌─────┐ │   at build and parked when
@@ -36,32 +36,37 @@
 //!     Vec<WindowReport> tagged by stream, sorted by (stream, window)
 //! ```
 //!
-//! Batches smaller than [`Engine::PARALLEL_ROUTE_MIN`] (and single-shard
-//! engines) skip phase 1's fan-out and route serially on the caller
-//! thread — the output is bit-identical either way; the threshold only
-//! decides who does the hashing.
+//! # One job path
+//!
+//! Every shard operation — routing a chunk, ingesting a shard's share of a
+//! batch, flushing a shard, snapshotting a stream — is one job answered by
+//! one handler. One fan-out helper places the jobs: a lone job (or any job
+//! on an engine without workers) runs inline on the caller thread, more
+//! jobs go round-robin over the persistent workers, at most
+//! [`Courier::DEPTH`] outstanding per worker. A batch below
+//! [`Engine::PARALLEL_ROUTE_MIN`] records (or any batch on a single-shard
+//! engine) is one route chunk, hashed on the caller thread by the same
+//! code as a fanned-out batch: the output is bit-identical either way, the
+//! threshold only decides who does the hashing.
 //!
 //! # The allocation-free batch pipeline
 //!
 //! Steady-state `ingest_batch` (every key already interned, no window
-//! closing) performs **zero heap allocations** on both the serial and the
-//! parallel route path — asserted by a counting-allocator integration
-//! test (`tests/engine_zero_alloc.rs`):
+//! closing) performs **zero heap allocations** whether its jobs run
+//! inline or on the workers — asserted by a counting-allocator
+//! integration test (`tests/engine_zero_alloc.rs`):
 //!
 //! * keys resolve through the interner's open-addressing table (hash +
-//!   probe, no `String`, no `BTreeMap`); the parallel path shares the
-//!   table as a frozen `Arc` snapshot, cloned by refcount only;
-//! * records partition into per-shard scratch buffers (serial) or
-//!   per-chunk arenas + sub-partition buckets (parallel), all reused
-//!   across batches and round-tripped by value through the mailboxes;
+//!   probe, no `String`, no `BTreeMap`); route jobs share the table as a
+//!   frozen `Arc` snapshot, cloned by refcount only;
+//! * records partition into per-chunk arenas + sub-partition buckets, all
+//!   reused across batches and round-tripped by value through the jobs;
 //! * each shard groups its sub-partitions with a counting sort over
 //!   reused scratch (counts / touched-slot list / scatter buffer) that
 //!   concatenates logically — no copy of the routed records;
-//! * busy shards move through their worker's bounded mailbox ring by
-//!   value (`mem::take` of the shard slab — no copy, no channel
-//!   allocation) and move back when collected. When at most one shard is
-//!   busy the ingest runs inline on the caller thread — no handoff at
-//!   all.
+//! * busy shards move into their jobs by value (`mem::take` of the shard
+//!   slab — no copy, no channel allocation) and move back when collected.
+//!   A lone job runs inline on the caller thread — no handoff at all.
 //!
 //! # Sharding is semantics-free
 //!
@@ -144,7 +149,11 @@ use crate::monitor::{resolve_config, MonitorState, WindowReport};
 /// per-stream failure. Streams are independent state machines, so one
 /// stream's bad record must not discard another stream's already-computed
 /// window reports — the shard keeps going and reports both.
-type ShardOutcome = (Vec<WindowReport>, Vec<(String, DistError)>);
+#[derive(Default)]
+struct ShardOutcome {
+    reports: Vec<WindowReport>,
+    errors: Vec<(String, DistError)>,
+}
 
 /// FNV-1a 64-bit hash of a stream key.
 ///
@@ -161,7 +170,7 @@ fn key_hash(key: &str) -> u64 {
 
 /// FNV-1a over raw key bytes — the byte-slice twin of [`key_hash`] (UTF-8
 /// string equality is byte equality, so hashing the bytes of a `&str`
-/// yields the identical value). The parallel route phase hashes keys out
+/// yields the identical value). The route phase hashes keys out
 /// of a per-chunk byte arena, where no `&str` exists to hash.
 // lint:hot-path
 fn key_hash_bytes(key: &[u8]) -> u64 {
@@ -332,7 +341,7 @@ struct KeyEntry {
 /// are capped at `u32` range (4 billion keys) by the id width — far
 /// beyond the slab sizes the monitor layer supports in memory anyway.
 ///
-/// Lives behind an `Arc` on the engine so the parallel route phase can
+/// Lives behind an `Arc` on the engine so the route jobs can
 /// probe it from every worker at once; `Clone` is derived purely for
 /// `Arc::make_mut` (see [`KeyEntry`]).
 #[derive(Clone)]
@@ -350,11 +359,12 @@ impl Interner {
     }
 
     /// Steady-state key resolution: no allocation, no `String`. Takes the
-    /// key as raw bytes so the parallel route phase can resolve keys
-    /// straight out of a chunk arena; `&str` callers pass `.as_bytes()`
-    /// (UTF-8 equality is byte equality).
+    /// key as raw bytes so the route phase can resolve keys straight out
+    /// of a chunk arena; `&str` callers pass `.as_bytes()` (UTF-8 equality
+    /// is byte equality). Returns the key's interned id (its debut index)
+    /// with its entry.
     // lint:hot-path
-    fn lookup(&self, key: &[u8], hash: u64) -> Option<u32> {
+    fn lookup(&self, key: &[u8], hash: u64) -> Option<(u32, &KeyEntry)> {
         let mask = self.table.len() - 1;
         let mut i = (mix64(hash) as usize) & mask;
         loop {
@@ -367,7 +377,7 @@ impl Interner {
             // lint:allow(checked-indexing): the table only stores ids of live entries
             let entry = &self.entries[id as usize];
             if entry.hash == hash && entry.key.as_bytes() == key {
-                return Some(id);
+                return Some((id, entry));
             }
             i = (i + 1) & mask;
         }
@@ -375,7 +385,7 @@ impl Interner {
 
     /// Registers a debuting key (cold path: allocates the entry, may
     /// regrow the table). Caller guarantees `key` is not present.
-    fn insert(&mut self, key: &str, hash: u64, shard: u32, slot: u32) -> u32 {
+    fn insert(&mut self, key: &str, hash: u64, shard: u32, slot: u32) {
         let id = self.entries.len() as u32;
         self.entries.push(KeyEntry {
             key: key.to_string(),
@@ -389,7 +399,6 @@ impl Interner {
         } else {
             Self::place(&mut self.table, hash, id);
         }
-        id
     }
 
     fn grow(&mut self) {
@@ -412,12 +421,12 @@ impl Interner {
     }
 }
 
-/// Reusable scratch for one chunk of the parallel route phase. The caller
-/// thread fills `arena`/`spans` (a pure memcpy of key bytes — no hashing,
-/// no probing), ships the chunk to a route worker by value through the
-/// courier ring, and gets it back with `hashes`, `buckets`, and `misses`
-/// filled. Every buffer keeps its capacity across batches, so a warm
-/// batch's route phase allocates nothing.
+/// Reusable scratch for one route chunk. The caller thread fills
+/// `arena`/`spans` (a pure memcpy of key bytes — no hashing, no probing),
+/// hands the chunk to its route job by value, and gets it back with
+/// `hashes`, `buckets`, and `misses` filled. Every buffer keeps its
+/// capacity across batches, so a warm batch's route phase allocates
+/// nothing.
 ///
 /// `Default` is derived so chunks `mem::take` in and out of the scratch
 /// pool without a heap touch.
@@ -434,27 +443,35 @@ struct RouteChunk {
     /// Per-shard `(slot, value)` sub-partitions of the chunk's records
     /// whose keys resolved through the interner, each in arrival order.
     buckets: Vec<Vec<(u32, usize)>>,
-    /// Span indices of records whose keys missed the interner snapshot —
-    /// debuts, interned serially (and cold) by the engine afterwards.
-    misses: Vec<usize>,
+    /// `(record index, key hash)` of records whose keys missed the
+    /// interner snapshot — debuts, interned serially (and cold) by the
+    /// engine afterwards.
+    misses: Vec<(usize, u64)>,
 }
 
 impl RouteChunk {
-    /// Fresh chunk scratch for a pool of `shards` shards (cold path:
-    /// engine build and resize only).
-    fn new(shards: usize) -> Self {
-        let mut chunk = RouteChunk::default();
-        chunk.buckets.resize_with(shards, Vec::new);
-        chunk
+    /// Loads one slice of the batch: its key bytes into the arena, one
+    /// span per record, and one empty bucket per shard of a `shards`-wide
+    /// pool (a no-op once sized, so a warm fill allocates nothing).
+    fn fill<K: AsRef<str>>(&mut self, records: &[(K, usize)], shards: usize) {
+        self.arena.clear();
+        self.spans.clear();
+        self.buckets.resize_with(shards, Vec::new);
+        self.buckets.iter_mut().for_each(Vec::clear);
+        for (key, value) in records {
+            let start = self.arena.len();
+            self.arena.extend_from_slice(key.as_ref().as_bytes());
+            self.spans.push((start, self.arena.len(), *value));
+        }
     }
 }
 
-/// Phase-1 route work, run inside a shard worker: a batched FNV-1a pass
-/// over the chunk's key arena, then one interner probe per record — the
-/// hash is computed once and reused for the probe here and for the ring
-/// lookup if the key turns out to be a debut. Known keys bucket into the
-/// per-shard sub-partitions in arrival order; unknown keys are recorded
-/// as misses for the engine's serial debut pass.
+/// The route job: a batched FNV-1a pass over the chunk's key arena, then
+/// one interner probe per record — the hash is computed once and reused
+/// for the probe here and for the ring lookup if the key turns out to be
+/// a debut. Known keys bucket into the per-shard sub-partitions in
+/// arrival order; unknown keys are recorded as misses for the engine's
+/// serial debut pass.
 fn route_chunk(chunk: &mut RouteChunk, interner: &Interner) {
     hash_spans(&chunk.arena, &chunk.spans, &mut chunk.hashes);
     bucket_records(chunk, interner);
@@ -493,20 +510,11 @@ fn bucket_records(chunk: &mut RouteChunk, interner: &Interner) {
     } = chunk;
     misses.clear();
     for (i, (&(start, end, value), &hash)) in spans.iter().zip(hashes.iter()).enumerate() {
-        let resolved = arena
-            .get(start..end)
-            .and_then(|key| interner.lookup(key, hash))
-            .and_then(|id| interner.entries.get(id as usize));
-        match resolved {
-            Some(entry) => match buckets.get_mut(entry.shard as usize) {
-                Some(bucket) => bucket.push((entry.slot, value)),
-                // Unreachable: interned shard indices are < the pool
-                // width the buckets were sized for. Treat as a miss so
-                // the record reaches the (bounds-checked) debut pass
-                // instead of being dropped.
-                None => misses.push(i),
-            },
-            None => misses.push(i),
+        let key = arena.get(start..end);
+        match key.and_then(|key| interner.lookup(key, hash)) {
+            // lint:allow(checked-indexing): fill sized the buckets to the pool; interned shards are < its width
+            Some((_, entry)) => buckets[entry.shard as usize].push((entry.slot, value)),
+            None => misses.push((i, hash)),
         }
     }
 }
@@ -526,14 +534,39 @@ struct StreamSlot {
     alarmed: bool,
 }
 
+impl StreamSlot {
+    /// The one per-stream step behind every ingest and flush: run `op` on
+    /// the stream's state, fold the ledger entries it produced into the
+    /// retained totals (served by [`Engine::ledger`]), digest the windows
+    /// it completed into the shard's fleet partial, and file its result in
+    /// `outcome`. Windows are the only producers of ledger entries, so a
+    /// warm step drains an empty vector — no allocation.
+    fn step(
+        &mut self,
+        fleet: &mut FleetSummary,
+        outcome: &mut ShardOutcome,
+        op: impl FnOnce(&mut MonitorState) -> Result<Vec<WindowReport>, DistError>,
+    ) {
+        let result = op(&mut self.state);
+        absorb_ledger(&mut self.ledger, self.state.drain_ledger());
+        match result {
+            Ok(reports) => {
+                observe_windows(fleet, self, &reports);
+                outcome.reports.extend(reports);
+            }
+            Err(e) => outcome.errors.push((self.key.clone(), e)),
+        }
+    }
+}
+
 /// One worker's worth of streams, plus its reusable batch scratch. Shards
 /// share nothing: every stream key hashes to exactly one shard, and only
-/// that shard's worker (or the caller thread, when the shard runs inline)
-/// ever touches its states.
+/// the job holding the shard slab (on a worker, or inline on the caller
+/// thread) ever touches its states.
 ///
 /// `Default` is derived so the engine can `mem::take` a shard — an
-/// allocation-free move — to hand it to its persistent worker by value and
-/// reinstall it when the batch result is collected.
+/// allocation-free move — to hand it to its job by value and reinstall it
+/// when the job's reply is collected.
 #[derive(Default)]
 struct Shard {
     /// Slots in debut order — the shard-local slab the interner's
@@ -656,16 +689,12 @@ fn concat_group(
 impl Shard {
     /// Ingests one shard's share of a keyed batch, handed over as
     /// chunk-ordered sub-partitions of `(slot, value)` records (one per
-    /// route chunk, plus the engine's serial/debut partition last; the
-    /// serial path passes a single sub-partition). Records are grouped
-    /// per stream with a counting sort over reused scratch (see
+    /// route chunk, plus the engine's debut partition last). Records are
+    /// grouped per stream with a counting sort over reused scratch (see
     /// [`concat_group`] — preserving each stream's arrival order, the
     /// only order a stream's state can observe) and each touched stream
-    /// ingests its group independently; a failing stream does not stop
-    /// its shard-mates. Ledgers drain into the slot's retained per-label
-    /// totals (served by [`Engine::ledger`]); windows are the only
-    /// producers of ledger entries, so a warm batch drains an empty
-    /// vector — no allocation.
+    /// takes one [`StreamSlot::step`] over its group; a failing stream
+    /// does not stop its shard-mates.
     ///
     /// Slot index order is debut order, so the processing order is
     /// deterministic for every batch partitioning — and the whole pass
@@ -681,53 +710,30 @@ impl Shard {
             &mut self.spans,
             &mut self.grouped,
         );
-        let mut out = Vec::new();
-        let mut errors = Vec::new();
-        for j in 0..self.spans.len() {
-            // lint:allow(checked-indexing): j < spans.len() by the loop bound
-            let (slot_idx, start, end) = self.spans[j];
+        let mut outcome = ShardOutcome::default();
+        for &(slot_idx, start, end) in &self.spans {
             // Reset the scratch count before the next batch.
-            // lint:allow(checked-indexing): touched slot, in bounds as above
+            // lint:allow(checked-indexing): touched slot, counted by concat_group
             self.counts[slot_idx as usize] = 0;
-            let Some(slot) = self.slots.get_mut(slot_idx as usize) else {
-                continue; // unreachable: the engine interned slot_idx into this shard
-            };
+            // lint:allow(checked-indexing): the engine interned slot_idx into this shard
+            let slot = &mut self.slots[slot_idx as usize];
             // lint:allow(checked-indexing): span extents tile the grouped buffer
             let group = &self.grouped[start..end];
-            let result = slot.state.ingest(group);
-            let drained = slot.state.drain_ledger();
-            absorb_ledger(&mut slot.ledger, drained);
-            match result {
-                Ok(reports) => {
-                    observe_windows(&mut self.fleet, slot, &reports);
-                    out.extend(reports);
-                }
-                Err(e) => errors.push((slot.key.clone(), e)),
-            }
+            slot.step(&mut self.fleet, &mut outcome, |state| state.ingest(group));
         }
         self.touched.clear();
         self.spans.clear();
-        (out, errors)
+        outcome
     }
 
     /// Flushes every stream the shard owns, in debut order; a failing
     /// stream does not stop its shard-mates.
     fn flush(&mut self) -> ShardOutcome {
-        let mut out = Vec::new();
-        let mut errors = Vec::new();
+        let mut outcome = ShardOutcome::default();
         for slot in &mut self.slots {
-            let result = slot.state.flush();
-            let drained = slot.state.drain_ledger();
-            absorb_ledger(&mut slot.ledger, drained);
-            match result {
-                Ok(reports) => {
-                    observe_windows(&mut self.fleet, slot, &reports);
-                    out.extend(reports);
-                }
-                Err(e) => errors.push((slot.key.clone(), e)),
-            }
+            slot.step(&mut self.fleet, &mut outcome, MonitorState::flush);
         }
-        (out, errors)
+        outcome
     }
 
     /// Answers an on-demand sub-batch from one stream's *current*
@@ -742,86 +748,113 @@ impl Shard {
             });
         };
         let result = slot.state.snapshot(analyses);
-        let drained = slot.state.drain_ledger();
-        absorb_ledger(&mut slot.ledger, drained);
+        absorb_ledger(&mut slot.ledger, slot.state.drain_ledger());
         result
     }
 }
 
-/// A job handed to a shard's persistent worker. Owned state (the shard
-/// slab, a route chunk, the sub-partition list) moves in by value and
-/// moves back out inside the matching [`ShardReply`] variant, so every
-/// buffer's capacity survives the round trip.
+/// A shard's chunk-ordered sub-partition list: one `(slot, value)` buffer
+/// per route chunk, then the engine's partition for the shard.
+type Subs = Vec<Vec<(u32, usize)>>;
+
+/// One unit of shard work, run by [`handle`] inline or on a persistent
+/// worker. Owned state (the shard slab, a route chunk, the sub-partition
+/// list) moves in by value and moves back out inside the matching
+/// [`ShardReply`] variant, so every buffer's capacity survives the round
+/// trip — and any worker can run any job.
 enum ShardJob {
-    /// Phase 1 of the parallel shuffle: hash and bucket one chunk of the
-    /// incoming batch against a frozen interner snapshot. Any worker can
-    /// run any chunk — routing is stateless.
-    Route {
-        chunk: RouteChunk,
-        interner: Arc<Interner>,
-    },
-    /// Phase 2: ingest the chunk-ordered sub-partitions addressed to this
-    /// worker's shard (the serial path passes a single sub-partition).
-    Ingest {
-        shard: Shard,
-        subs: Vec<Vec<(u32, usize)>>,
-    },
+    /// Phase 1: hash and bucket one chunk of the incoming batch against a
+    /// frozen interner snapshot.
+    Route(RouteChunk, Arc<Interner>),
+    /// Phase 2: ingest the chunk-ordered sub-partitions addressed to one
+    /// shard.
+    Ingest(Shard, Subs),
     /// Flush every stream the shard owns.
-    Flush { shard: Shard },
-    /// Answer a control-plane snapshot for one stream the shard owns.
-    Snapshot {
-        shard: Shard,
-        slot: u32,
-        analyses: Arc<Vec<Analysis>>,
-    },
+    Flush(Shard),
+    /// Answer a control-plane snapshot of the analyses for the stream in
+    /// the given slot of the shard.
+    Snapshot(Shard, u32, Arc<Vec<Analysis>>),
 }
 
-/// A worker's answer, mirroring [`ShardJob`] variant for variant. Moved
+/// A job's answer, mirroring [`ShardJob`] variant for variant. Moved
 /// state comes back so the engine can reinstall slabs and recycle scratch
 /// capacity.
 enum ShardReply {
     /// The routed chunk: `hashes`, `buckets`, and `misses` filled.
-    Routed { chunk: RouteChunk },
+    Routed(RouteChunk),
     /// The shard slab back, the batch outcome, and the sub-partition list
     /// (cleared by the engine on restore; every buffer keeps its capacity).
-    Ingested {
-        shard: Shard,
-        outcome: ShardOutcome,
-        subs: Vec<Vec<(u32, usize)>>,
-    },
+    Ingested(Shard, ShardOutcome, Subs),
     /// The flushed shard slab and its outcome.
-    Flushed { shard: Shard, outcome: ShardOutcome },
+    Flushed(Shard, ShardOutcome),
     /// The shard slab back plus the snapshot's answer.
-    Snapped {
-        shard: Shard,
-        snapshot: Result<Vec<Report>, DistError>,
-    },
+    Snapped(Shard, Result<Vec<Report>, DistError>),
 }
 
-/// The deterministic error for a record the engine could not route — the
-/// loud replacement for what used to be a silent `continue`. Only
-/// reachable through states the routing invariants make unreachable
-/// (an interned id without a backing entry, a span that does not index
-/// its arena); if one ever trips, the batch fails with this instead of
-/// dropping the record.
-#[cold]
-fn lost_record(key: &str) -> DistError {
-    DistError::BadParameter {
-        reason: format!(
-            "internal: a record for stream '{key}' could not be routed \
-             (interner entry missing); failing the batch instead of \
-             silently dropping the record"
-        ),
+/// Typed unpacking, one accessor per variant: the payload, or `None` for
+/// any other variant — which [`Engine::run_jobs`] turns into its protocol
+/// error.
+impl ShardReply {
+    fn routed(self) -> Option<RouteChunk> {
+        match self {
+            ShardReply::Routed(chunk) => Some(chunk),
+            _ => None,
+        }
+    }
+
+    fn ingested(self) -> Option<(Shard, ShardOutcome, Subs)> {
+        match self {
+            ShardReply::Ingested(shard, outcome, subs) => Some((shard, outcome, subs)),
+            _ => None,
+        }
+    }
+
+    fn flushed(self) -> Option<(Shard, ShardOutcome)> {
+        match self {
+            ShardReply::Flushed(shard, outcome) => Some((shard, outcome)),
+            _ => None,
+        }
+    }
+
+    fn snapped(self) -> Option<(Shard, Result<Vec<Report>, DistError>)> {
+        match self {
+            ShardReply::Snapped(shard, snapshot) => Some((shard, snapshot)),
+            _ => None,
+        }
     }
 }
 
-/// The deterministic error for a shard worker answering with a mismatched
-/// reply variant — unreachable while the courier ring is FIFO, surfaced
-/// as an error rather than a panic to keep the no-panic discipline.
+/// The one shard-job handler: the persistent workers' closure and the
+/// inline path alike, so a job's answer never depends on where it ran.
+fn handle(job: ShardJob) -> ShardReply {
+    match job {
+        ShardJob::Route(mut chunk, interner) => {
+            route_chunk(&mut chunk, &interner);
+            ShardReply::Routed(chunk)
+        }
+        ShardJob::Ingest(mut shard, subs) => {
+            let outcome = shard.ingest_parts(&subs);
+            ShardReply::Ingested(shard, outcome, subs)
+        }
+        ShardJob::Flush(mut shard) => {
+            let outcome = shard.flush();
+            ShardReply::Flushed(shard, outcome)
+        }
+        ShardJob::Snapshot(mut shard, slot, analyses) => {
+            let snapshot = shard.snapshot(slot, &analyses);
+            ShardReply::Snapped(shard, snapshot)
+        }
+    }
+}
+
+/// The deterministic error for a job answered with a mismatched reply
+/// variant — unreachable while [`handle`] mirrors every job and the
+/// courier ring is FIFO, surfaced as an error rather than a panic to keep
+/// the no-panic discipline.
 #[cold]
 fn protocol_error() -> DistError {
     DistError::BadParameter {
-        reason: "internal: shard worker answered with a mismatched reply variant".into(),
+        reason: "internal: shard job answered with a mismatched reply variant".into(),
     }
 }
 
@@ -917,28 +950,22 @@ impl EngineBuilder {
             plan,
             drift_eps: self.drift_eps,
         });
-        // Persistent workers: spawned once here, parked on their mailbox
-        // between batches. A 1-shard engine has no workers at all.
-        let workers = Engine::spawn_workers(self.shards);
-        let mut parts = Vec::with_capacity(self.shards);
-        parts.resize_with(self.shards, Vec::new);
-        let route = Engine::route_scratch(workers.len(), self.shards);
-        let mut gather = Vec::with_capacity(self.shards);
-        gather.resize_with(self.shards, Vec::new);
-        Ok(Engine {
+        let mut engine = Engine {
             cfg,
             ring: Ring::new(self.shards),
             shards,
-            workers,
+            workers: Vec::new(),
             interner: Arc::new(Interner::new()),
-            parts,
-            route,
-            gather,
+            parts: Vec::new(),
+            route: Vec::new(),
+            gather: Vec::new(),
             busy: Vec::new(),
             outcomes: Vec::new(),
             stashed: Vec::new(),
             fleet_base: FleetSummary::new(),
-        })
+        };
+        engine.spawn_pool();
+        Ok(engine)
     }
 }
 
@@ -953,8 +980,9 @@ pub struct Engine {
     /// and [`Engine::resize`] only — interned keys carry their coordinates.
     ring: Ring,
     shards: Vec<Shard>,
-    /// Persistent shard workers (empty for a 1-shard engine). Index i is
-    /// shard i's dedicated worker; dropping the engine parks-then-joins
+    /// Persistent workers, one per shard (none for a 1-shard engine).
+    /// Jobs ride them round-robin — shard slabs move by value, so no
+    /// worker is tied to a shard; dropping the engine parks-then-joins
     /// them.
     workers: Vec<Courier<ShardJob, ShardReply>>,
     /// The key interner, shared read-only with in-flight route jobs. The
@@ -963,18 +991,20 @@ pub struct Engine {
     /// actually copies.
     interner: Arc<Interner>,
     /// Per-shard partition scratch: `(slot, value)` records, reused across
-    /// batches (round-tripped through the workers to keep capacity). On
-    /// the parallel route path this holds only the debut (miss) records;
-    /// the bulk rides the route chunks' buckets.
+    /// batches (round-tripped through the jobs to keep capacity). Holds
+    /// the debut (miss) records of a batch — the bulk rides the route
+    /// chunks' buckets — and the records of a single-stream
+    /// [`Engine::ingest`].
     parts: Vec<Vec<(u32, usize)>>,
-    /// Route-chunk scratch for the parallel shuffle:
-    /// `Courier::DEPTH × workers` chunks so every worker's ring pipelines
-    /// two route jobs. Empty for a single-shard engine.
+    /// Route-chunk scratch: `Courier::DEPTH × workers` chunks so every
+    /// worker's ring pipelines two route jobs (one chunk for a
+    /// single-shard engine).
     route: Vec<RouteChunk>,
     /// Per-shard sub-partition gather lists (the `subs` vector shipped
     /// with each `ShardJob::Ingest`), reused across batches.
-    gather: Vec<Vec<Vec<(u32, usize)>>>,
-    /// Indices of the shards busy in the current call.
+    gather: Vec<Subs>,
+    /// Indices of the shards busy in the current call; job `j` of a
+    /// shard fan-out works on shard `busy[j]`.
     busy: Vec<u32>,
     /// Per-call shard outcomes, drained by [`Engine::settle`].
     outcomes: Vec<ShardOutcome>,
@@ -1007,11 +1037,11 @@ impl Engine {
     }
 
     /// Minimum batch size (in records) at which a multi-shard engine
-    /// routes in parallel. Below this, [`Engine::ingest_batch`] hashes
-    /// and partitions on the caller thread: waking the worker ring costs
-    /// more than the hashing it would spread. Public so callers sizing
-    /// their feed chunks (the CLI uses `4096 × shards`) can reason about
-    /// which path a batch takes; the output is bit-identical either way.
+    /// routes in parallel. Below this, [`Engine::ingest_batch`] routes the
+    /// batch as one chunk on the caller thread: waking the worker ring
+    /// costs more than the hashing it would spread. Public so callers
+    /// sizing their feed chunks (the CLI uses `4096 × shards`) can reason
+    /// about who does the hashing; the output is bit-identical either way.
     pub const PARALLEL_ROUTE_MIN: usize = 2048;
 
     /// The seed stream `key` samples with under base seed `base`: the
@@ -1041,13 +1071,6 @@ impl Engine {
 
     /// Number of distinct stream keys seen so far.
     pub fn streams(&self) -> usize {
-        self.interner.entries.len()
-    }
-
-    /// Number of distinct stream keys seen so far — the control-plane
-    /// name for [`streams`](Engine::streams) (`khist serve`'s `STATS`
-    /// reply and the fleet example both read it).
-    pub fn stream_count(&self) -> usize {
         self.interner.entries.len()
     }
 
@@ -1107,10 +1130,7 @@ impl Engine {
     /// Read access to one stream's state machine (e.g. to check `seen` or
     /// probe [`drift`](MonitorState::drift) for a single tenant).
     pub fn stream_state(&self, key: &str) -> Option<&MonitorState> {
-        let id = self.interner.lookup(key.as_bytes(), key_hash(key))?;
-        let entry = self.interner.entries.get(id as usize)?;
-        let shard = self.shards.get(entry.shard as usize)?;
-        shard.slots.get(entry.slot as usize).map(|s| &s.state)
+        self.slot(key).map(|s| &s.state)
     }
 
     /// The shard index `key` routes to on the consistent-hash ring. Pure
@@ -1120,34 +1140,40 @@ impl Engine {
         self.ring.owner(key_hash(key)) as usize
     }
 
-    /// Resolves `key` to its interned id, creating the stream's slot (and
-    /// state machine) on debut. Steady state touches no `String`.
-    fn intern(&mut self, key: &str) -> u32 {
-        let hash = key_hash(key);
-        self.intern_hashed(key, hash)
+    /// `key`'s interned `(shard, slot)` coordinates, if it has debuted.
+    fn coordinates(&self, key: &str) -> Option<(usize, u32)> {
+        let (_, entry) = self.interner.lookup(key.as_bytes(), key_hash(key))?;
+        Some((entry.shard as usize, entry.slot))
     }
 
-    /// [`Engine::intern`] with the FNV-1a hash already in hand — the
-    /// parallel route phase hashed every key once in the workers, and the
-    /// debut pass reuses that value for the lookup, the ring owner, *and*
-    /// the cached entry (the "hash computed once" contract).
-    fn intern_hashed(&mut self, key: &str, hash: u64) -> u32 {
-        if let Some(id) = self.interner.lookup(key.as_bytes(), hash) {
-            return id;
+    /// `key`'s stream slot, if it has debuted.
+    fn slot(&self, key: &str) -> Option<&StreamSlot> {
+        let (shard, slot) = self.coordinates(key)?;
+        self.shards.get(shard)?.slots.get(slot as usize)
+    }
+
+    /// Resolves `key` to its `(shard, slot)` coordinates, creating the
+    /// stream's slot (and state machine) on debut. `hash` is the key's
+    /// FNV-1a hash, computed once by the route job and reused here for the
+    /// lookup, the ring owner, *and* the cached entry (the "hash computed
+    /// once" contract). Takes raw bytes so the debut pass reads keys out
+    /// of the chunk arena; every key arrives as a `&str`, so the lossy
+    /// decode at debut is exact. Steady state touches no `String`.
+    fn intern(&mut self, key: &[u8], hash: u64) -> (usize, u32) {
+        if let Some((_, entry)) = self.interner.lookup(key, hash) {
+            return (entry.shard as usize, entry.slot);
         }
+        let key = String::from_utf8_lossy(key);
         let shard_idx = self.ring.owner(hash) as usize;
-        let Some(shard) = self.shards.get_mut(shard_idx) else {
-            // Unreachable: ring owners are < shards.len() by construction;
-            // keep the no-panic discipline anyway.
-            return 0;
-        };
+        // lint:allow(checked-indexing): ring owners are < shards.len() by construction
+        let shard = &mut self.shards[shard_idx];
         let slot = shard.slots.len() as u32;
-        // The interner assigns ids densely in debut order, so the id this
-        // insert will return is the current entry count.
+        // The interner assigns ids densely in debut order, so this key's
+        // id is the current entry count.
         let debut = self.interner.entries.len() as u32;
         shard.slots.push(StreamSlot {
             key: key.to_string(),
-            state: self.cfg.new_state(key),
+            state: self.cfg.new_state(&key),
             ledger: Vec::new(),
             debut,
             alarmed: false,
@@ -1155,59 +1181,33 @@ impl Engine {
         shard.fleet.observe_debut();
         // Debut is a cold path and runs with no route job in flight, so
         // the Arc is unique and make_mut mutates in place (no clone).
-        Arc::make_mut(&mut self.interner).insert(key, hash, shard_idx as u32, slot)
+        Arc::make_mut(&mut self.interner).insert(&key, hash, shard_idx as u32, slot);
+        (shard_idx, slot)
     }
 
-    /// Spawns the persistent worker pool for `shards` shards: one parked
-    /// thread per shard, each owning one end of a bounded two-deep
-    /// mailbox ring. A pool of one (or zero) shards has no workers —
-    /// every job runs inline on the caller thread.
-    fn spawn_workers(shards: usize) -> Vec<Courier<ShardJob, ShardReply>> {
-        if shards <= 1 {
-            return Vec::new();
-        }
-        (0..shards)
-            .map(|i| {
-                Courier::spawn(&format!("khist-shard-{i}"), move |job: ShardJob| match job {
-                    ShardJob::Route {
-                        mut chunk,
-                        interner,
-                    } => {
-                        route_chunk(&mut chunk, &interner);
-                        ShardReply::Routed { chunk }
-                    }
-                    ShardJob::Ingest { mut shard, subs } => {
-                        let outcome = shard.ingest_parts(&subs);
-                        ShardReply::Ingested {
-                            shard,
-                            outcome,
-                            subs,
-                        }
-                    }
-                    ShardJob::Flush { mut shard } => {
-                        let outcome = shard.flush();
-                        ShardReply::Flushed { shard, outcome }
-                    }
-                    ShardJob::Snapshot {
-                        mut shard,
-                        slot,
-                        analyses,
-                    } => {
-                        let snapshot = shard.snapshot(slot, &analyses);
-                        ShardReply::Snapped { shard, snapshot }
-                    }
-                })
-            })
-            .collect()
-    }
-
-    /// Fresh route-chunk scratch: [`Courier::DEPTH`] chunks per worker so
-    /// each worker's mailbox ring stays two deep during the route phase.
-    /// Empty when the pool has no workers (single-shard engines route
-    /// serially — there is nobody to parallelize across).
-    fn route_scratch(workers: usize, shards: usize) -> Vec<RouteChunk> {
-        let chunks = workers * Courier::<ShardJob, ShardReply>::DEPTH;
-        (0..chunks).map(|_| RouteChunk::new(shards)).collect()
+    /// Spawns the persistent worker pool — one parked thread per shard
+    /// running [`handle`] behind a bounded two-deep mailbox ring; none for
+    /// a single-shard engine, whose jobs all run inline — and sizes the
+    /// batch scratch to match: a partition and gather list per shard,
+    /// `Courier::DEPTH` route chunks per worker (at least one). Any old
+    /// workers park, join, and drop first.
+    fn spawn_pool(&mut self) {
+        let shards = self.shards.len();
+        self.workers = if shards > 1 {
+            (0..shards)
+                .map(|i| Courier::spawn(&format!("khist-shard-{i}"), handle))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let chunks = (self.workers.len() * Courier::<ShardJob, ShardReply>::DEPTH).max(1);
+        self.route.clear();
+        self.route.resize_with(chunks, RouteChunk::default);
+        self.parts.clear();
+        self.parts.resize_with(shards, Vec::new);
+        self.gather.clear();
+        self.gather.resize_with(shards, Vec::new);
+        self.busy.clear();
     }
 
     /// Re-routes the pool onto `shards` shards, **migrating only the
@@ -1270,15 +1270,7 @@ impl Engine {
         }
         self.shards = fresh;
         self.ring = ring;
-        // Old couriers drop (park → join) when replaced; fresh scratch for
-        // the new pool width (partitions, route chunks, gather lists).
-        self.workers = Engine::spawn_workers(shards);
-        self.parts.clear();
-        self.parts.resize_with(shards, Vec::new);
-        self.route = Engine::route_scratch(self.workers.len(), shards);
-        self.gather.clear();
-        self.gather.resize_with(shards, Vec::new);
-        self.busy.clear();
+        self.spawn_pool();
         Ok(moved)
     }
 
@@ -1286,9 +1278,8 @@ impl Engine {
     /// (possibly partial) window — "what does tenant X look like right
     /// now", mid-window, without waiting for the window to complete and
     /// without disturbing ingestion or the drift baseline. The query is
-    /// routed to the owning shard over its persistent worker's mailbox
-    /// (inline for a single-shard engine), exactly like a batch; the
-    /// sample spend is folded into the stream's ledger.
+    /// one job on the owning shard, run through the same fan-out helper
+    /// as a batch; the sample spend is folded into the stream's ledger.
     ///
     /// The batch may be any sub-batch whose requirements fit the standing
     /// plan — the frozen lanes cannot serve a larger draw (that errors,
@@ -1298,44 +1289,27 @@ impl Engine {
         key: &str,
         analyses: &[Analysis],
     ) -> Result<Vec<Report>, DistError> {
-        let unknown = || DistError::BadParameter {
-            reason: format!("unknown stream key '{key}'"),
-        };
-        let id = self
-            .interner
-            .lookup(key.as_bytes(), key_hash(key))
-            .ok_or_else(unknown)?;
-        let (shard_idx, slot) = match self.interner.entries.get(id as usize) {
-            Some(entry) => (entry.shard as usize, entry.slot),
-            None => return Err(unknown()), // unreachable: lookup returned id
-        };
-        if self.workers.is_empty() {
-            return match self.shards.get_mut(shard_idx) {
-                Some(shard) => shard.snapshot(slot, analyses),
-                None => Err(unknown()), // unreachable: interned shard index
-            };
-        }
-        // lint:allow(checked-indexing): interned shard indices are < shards.len()
-        let shard = std::mem::take(&mut self.shards[shard_idx]);
-        // lint:allow(checked-indexing): workers.len() == shards.len() when non-empty
-        self.workers[shard_idx].submit(ShardJob::Snapshot {
-            shard,
-            slot,
-            analyses: Arc::new(analyses.to_vec()),
-        });
-        // lint:allow(checked-indexing): same worker index as above
-        match self.workers[shard_idx].collect() {
-            ShardReply::Snapped { shard, snapshot } => {
-                // lint:allow(checked-indexing): interned shard indices are < shards.len()
-                self.shards[shard_idx] = shard;
-                snapshot
-            }
-            // Unreachable: snapshot jobs answer Snapped (FIFO ring).
-            other => {
-                drop(other);
-                Err(protocol_error())
-            }
-        }
+        let (shard, slot) = self
+            .coordinates(key)
+            .ok_or_else(|| DistError::BadParameter {
+                reason: format!("unknown stream key '{key}'"),
+            })?;
+        self.busy.clear();
+        self.busy.push(shard as u32);
+        let analyses = Arc::new(analyses.to_vec());
+        // Overwritten by the one job's reply: run_jobs only returns Ok
+        // once every job's reply has been taken.
+        let mut answer = Ok(Vec::new());
+        self.run_jobs(
+            1,
+            |engine, j| ShardJob::Snapshot(engine.take_busy(j), slot, Arc::clone(&analyses)),
+            ShardReply::snapped,
+            |engine, j, (shard, snapshot)| {
+                engine.restore_busy(j, shard);
+                answer = snapshot;
+            },
+        )?;
+        answer
     }
 
     /// One stream's retained ledger: per-label lifetime totals (`"draw"`
@@ -1344,38 +1318,29 @@ impl Engine {
     /// Bounded memory: one entry per label, however long the stream runs.
     /// `None` for keys the engine has never seen.
     pub fn ledger(&self, key: &str) -> Option<&[LedgerEntry]> {
-        let id = self.interner.lookup(key.as_bytes(), key_hash(key))?;
-        let entry = self.interner.entries.get(id as usize)?;
-        let shard = self.shards.get(entry.shard as usize)?;
-        shard
-            .slots
-            .get(entry.slot as usize)
-            .map(|s| s.ledger.as_slice())
+        self.slot(key).map(|s| s.ledger.as_slice())
     }
 
     /// Ingests records for a single stream in arrival order, reporting the
-    /// stream's windows that completed during the batch. Runs inline on
-    /// the calling thread (one stream cannot be parallelized without
-    /// changing its output), and never returns other streams' stashed
+    /// stream's windows that completed during the batch. The records are
+    /// one shard job on the stream's shard — run inline on the calling
+    /// thread, since one stream cannot be parallelized without changing
+    /// its output — taking the same per-stream step as a batch (ledger
+    /// and fleet partial included). Never returns other streams' stashed
     /// reports — those wait for the next
     /// [`ingest_batch`](Engine::ingest_batch) / [`flush`](Engine::flush).
     pub fn ingest(&mut self, key: &str, records: &[usize]) -> Result<Vec<WindowReport>, DistError> {
-        let id = self.intern(key);
-        let (shard_idx, slot_idx) = match self.interner.entries.get(id as usize) {
-            Some(entry) => (entry.shard as usize, entry.slot as usize),
-            None => return Ok(Vec::new()), // unreachable: intern just returned id
-        };
-        // lint:allow(checked-indexing): intern placed this (shard, slot) coordinate
-        let shard = &mut self.shards[shard_idx];
-        let Some(slot) = shard.slots.get_mut(slot_idx) else {
-            return Ok(Vec::new()); // unreachable: intern placed the slot
-        };
-        let result = slot.state.ingest(records);
-        slot.state.drain_ledger();
-        if let Ok(reports) = &result {
-            observe_windows(&mut shard.fleet, slot, reports);
+        let (shard, slot) = self.intern(key.as_bytes(), key_hash(key));
+        // lint:allow(checked-indexing): intern returns an in-pool shard index
+        self.parts[shard].extend(records.iter().map(|&value| (slot, value)));
+        self.ingest_shards(0)?;
+        // One busy shard holding one stream: at most one outcome, with at
+        // most one error.
+        let mut outcome = self.outcomes.pop().unwrap_or_default();
+        match outcome.errors.pop() {
+            Some((_, e)) => Err(e),
+            None => Ok(outcome.reports),
         }
-        result
     }
 
     /// The fleet-wide rollup: every live shard's partial (plus the
@@ -1395,22 +1360,17 @@ impl Engine {
     }
 
     /// Ingests a batch of keyed records in arrival order — the engine's
-    /// main entry point, a two-phase parallel shuffle on multi-shard
-    /// engines. Batches of at least [`Engine::PARALLEL_ROUTE_MIN`]
-    /// records are chunked and fanned across the persistent workers,
-    /// which hash (once per record — the same FNV-1a value feeds the
-    /// interner probe, the ring lookup, and the cached entry) and bucket
-    /// their chunks into per-(chunk, shard) sub-partitions in parallel;
-    /// each busy shard then concatenates the sub-partitions addressed to
-    /// it in chunk order — restoring every stream's global arrival order,
-    /// hence bit-identity — and ingests. Smaller batches (and single-shard
-    /// engines) route serially on the caller thread; the output is
-    /// bit-identical either way. Busy shards move by value to their
-    /// persistent workers (shared-nothing: a shard's states are touched
-    /// only by its worker), and completed windows come back sorted by
-    /// `(stream, window id)` — a deterministic interleaving with every
-    /// stream's reports in window order. When at most one shard is busy
-    /// the ingest runs inline on the caller thread: no handoff, no wakeup.
+    /// main entry point, the two-phase shuffle of the [module docs](self).
+    /// Phase 1 routes the batch in chunks (one, on the caller thread, below
+    /// [`Engine::PARALLEL_ROUTE_MIN`] records or on a single-shard engine;
+    /// `Courier::DEPTH` per worker otherwise), hashing each record once —
+    /// the same FNV-1a value feeds the interner probe, the ring lookup,
+    /// and the cached entry — and bucketing it per (chunk, shard). Phase 2
+    /// hands each busy shard its sub-partitions in chunk order, restoring
+    /// every stream's global arrival order (hence bit-identity), and
+    /// ingests. Completed windows come back sorted by `(stream, window
+    /// id)` — a deterministic interleaving with every stream's reports in
+    /// window order.
     ///
     /// A warm call — every key interned, no window completing — performs
     /// zero heap allocations (see the [module docs](self)).
@@ -1429,315 +1389,159 @@ impl Engine {
         &mut self,
         records: &[(K, usize)],
     ) -> Result<Vec<WindowReport>, DistError> {
-        // A single-shard engine routes serially no matter the batch size:
-        // with nothing to overlap, fanning chunks to its one worker would
-        // only add arena copies and a cross-thread handoff.
-        let chunk_count = if self.workers.len() > 1 && records.len() >= Self::PARALLEL_ROUTE_MIN {
-            self.route_parallel(records)?
-        } else {
-            self.route_serial(records)?;
-            0
-        };
-        self.dispatch_ingest(chunk_count)
-    }
-
-    /// The serial route: hash, intern, and partition every record on the
-    /// caller thread — right for small batches (below
-    /// [`Engine::PARALLEL_ROUTE_MIN`]) and single-shard engines, where
-    /// waking the worker ring would cost more than the hashing it spreads.
-    fn route_serial<K: AsRef<str>>(&mut self, records: &[(K, usize)]) -> Result<(), DistError> {
-        for (key, value) in records {
-            let id = self.intern(key.as_ref());
-            let Some(entry) = self.interner.entries.get(id as usize) else {
-                // Unreachable: intern just returned this id. If it ever
-                // trips, the record must not vanish silently — fail the
-                // batch deterministically (and loudly under debug).
-                debug_assert!(false, "intern returned id {id} without a backing entry");
-                self.reset_partitions();
-                return Err(lost_record(key.as_ref()));
-            };
-            let (shard_idx, slot) = (entry.shard as usize, entry.slot);
-            // lint:allow(checked-indexing): interned shard indices are < shards.len()
-            self.parts[shard_idx].push((slot, *value));
-        }
-        Ok(())
-    }
-
-    /// Phase 1 of the parallel shuffle: slice the batch into
-    /// `Courier::DEPTH × workers` chunks, memcpy each chunk's key bytes
-    /// into its reusable arena (the only per-record work left on the
-    /// caller thread), and fan the chunks across the worker ring two deep
-    /// — every worker hashes and buckets two chunks back to back without
-    /// a collect round-trip in between. Chunks come back in chunk order
-    /// (the ring is FIFO), after which the interner `Arc` is unique again
-    /// and the (cold) debut pass interns misses in global arrival order.
-    /// Returns the number of chunks routed.
-    fn route_parallel<K: AsRef<str>>(
-        &mut self,
-        records: &[(K, usize)],
-    ) -> Result<usize, DistError> {
-        let workers = self.workers.len();
-        let lanes = self.route.len();
-        let per = records.len().div_ceil(lanes).max(1);
-        let mut submitted = 0usize;
-        for c in 0..lanes {
-            let lo = c * per;
-            if lo >= records.len() {
-                break;
-            }
-            let hi = ((c + 1) * per).min(records.len());
-            let Some(slice) = records.get(lo..hi) else {
-                break; // unreachable: lo < hi <= records.len()
-            };
-            let Some(chunk) = self.route.get_mut(c) else {
-                break; // unreachable: c < lanes == route.len()
-            };
-            chunk.arena.clear();
-            chunk.spans.clear();
-            for (key, value) in slice {
-                let key = key.as_ref().as_bytes();
-                let start = chunk.arena.len();
-                chunk.arena.extend_from_slice(key);
-                chunk.spans.push((start, chunk.arena.len(), *value));
-            }
-            let job = ShardJob::Route {
-                chunk: std::mem::take(chunk),
-                interner: Arc::clone(&self.interner),
-            };
-            // lint:allow(checked-indexing): c % workers < workers == workers.len()
-            self.workers[c % workers].submit(job);
-            submitted += 1;
-        }
-        // Collect in chunk order — each worker's ring is FIFO, so chunk c
-        // is the next reply of worker c % workers.
-        for c in 0..submitted {
-            // lint:allow(checked-indexing): c % workers < workers == workers.len()
-            if let ShardReply::Routed { chunk } = self.workers[c % workers].collect() {
-                if let Some(home) = self.route.get_mut(c) {
-                    *home = chunk;
-                }
-            }
-            // A mismatched reply is unreachable (only Route jobs are in
-            // flight); dropping it costs scratch capacity, never records
-            // or stream state.
-        }
-        for c in 0..submitted {
-            self.absorb_misses(c)?;
-        }
-        Ok(submitted)
-    }
-
-    /// The debut pass of the parallel route: records whose keys missed the
-    /// frozen interner snapshot are interned serially — in global arrival
-    /// order (chunk order, then in-chunk order), which preserves debut
-    /// numbering exactly as the serial route assigns it — and pushed onto
-    /// their shard's partition. A key missing from the snapshot misses in
-    /// *every* chunk, so all its records funnel through here in order.
-    /// Cold: a warm batch has no misses and skips straight through.
-    fn absorb_misses(&mut self, c: usize) -> Result<(), DistError> {
-        let Some(home) = self.route.get_mut(c) else {
-            return Ok(()); // unreachable: c < submitted <= route.len()
-        };
-        if home.misses.is_empty() {
-            return Ok(());
-        }
-        let chunk = std::mem::take(home);
-        let mut failed: Option<DistError> = None;
-        for &i in &chunk.misses {
-            let record = chunk
-                .spans
-                .get(i)
-                .and_then(|&(start, end, value)| chunk.arena.get(start..end).map(|b| (b, value)));
-            let Some((bytes, value)) = record else {
-                // Unreachable: misses hold span indices and spans index
-                // the arena by construction.
-                debug_assert!(false, "route miss {i} does not index its chunk");
-                failed = Some(lost_record("<unindexable route miss>"));
-                break;
-            };
-            let Ok(key) = std::str::from_utf8(bytes) else {
-                // Unreachable: keys arrive as &str, so arena bytes are
-                // valid UTF-8 by construction.
-                debug_assert!(false, "route arena held non-UTF-8 key bytes");
-                failed = Some(lost_record("<non-utf8 key bytes>"));
-                break;
-            };
-            let hash = chunk.hashes.get(i).copied().unwrap_or_else(|| key_hash(key));
-            let id = self.intern_hashed(key, hash);
-            let Some(entry) = self.interner.entries.get(id as usize) else {
-                debug_assert!(false, "intern returned id {id} without a backing entry");
-                failed = Some(lost_record(key));
-                break;
-            };
-            let (shard_idx, slot) = (entry.shard as usize, entry.slot);
-            match self.parts.get_mut(shard_idx) {
-                Some(part) => part.push((slot, value)),
-                None => {
-                    debug_assert!(false, "interned shard {shard_idx} outside the pool");
-                    failed = Some(lost_record(key));
-                    break;
-                }
-            }
-        }
-        if let Some(home) = self.route.get_mut(c) {
-            *home = chunk;
-        }
-        match failed {
-            Some(e) => {
-                self.reset_partitions();
-                Err(e)
-            }
-            None => Ok(()),
-        }
-    }
-
-    /// Phase 2 dispatch: find the busy shards, assemble each one's
-    /// chunk-ordered sub-partition list, and run the ingest — inline on
-    /// the caller thread when at most one shard is busy (a worker handoff
-    /// would buy no parallelism and cost two context switches), over the
-    /// persistent workers otherwise. Collection is in shard order —
-    /// deterministic regardless of which worker finishes first.
-    fn dispatch_ingest(&mut self, chunk_count: usize) -> Result<Vec<WindowReport>, DistError> {
-        self.busy.clear();
-        for s in 0..self.shards.len() {
-            let in_parts = self.parts.get(s).is_some_and(|p| !p.is_empty());
-            let routed = self
-                .route
-                .iter()
-                .take(chunk_count)
-                .any(|chunk| chunk.buckets.get(s).is_some_and(|b| !b.is_empty()));
-            if in_parts || routed {
-                self.busy.push(s as u32);
-            }
-        }
-        if self.busy.len() <= 1 || self.workers.is_empty() {
-            for j in 0..self.busy.len() {
-                // lint:allow(checked-indexing): j < busy.len(); busy holds shard indices
-                let i = self.busy[j] as usize;
-                if chunk_count == 0 {
-                    // Serial route, one busy shard: ingest its partition
-                    // in place — no gather, no moves.
-                    // lint:allow(checked-indexing): busy holds indices < shards.len()
-                    let outcome = self.shards[i].ingest_parts(std::slice::from_ref(&self.parts[i]));
-                    // lint:allow(checked-indexing): same index as above
-                    self.parts[i].clear();
-                    self.outcomes.push(outcome);
-                } else {
-                    let subs = self.build_subs(i, chunk_count);
-                    // lint:allow(checked-indexing): busy holds indices < shards.len()
-                    let outcome = self.shards[i].ingest_parts(&subs);
-                    self.restore_subs(i, chunk_count, subs);
-                    self.outcomes.push(outcome);
-                }
-            }
-        } else {
-            for j in 0..self.busy.len() {
-                // lint:allow(checked-indexing): j < busy.len(); busy holds shard indices
-                let i = self.busy[j] as usize;
-                let subs = self.build_subs(i, chunk_count);
-                // lint:allow(checked-indexing): busy holds indices < shards.len()
-                let shard = std::mem::take(&mut self.shards[i]);
-                // lint:allow(checked-indexing): workers.len() == shards.len() when non-empty
-                self.workers[i].submit(ShardJob::Ingest { shard, subs });
-            }
-            for j in 0..self.busy.len() {
-                // lint:allow(checked-indexing): j < busy.len(); busy holds shard indices
-                let i = self.busy[j] as usize;
-                // lint:allow(checked-indexing): workers.len() == shards.len() when non-empty
-                match self.workers[i].collect() {
-                    ShardReply::Ingested {
-                        shard,
-                        outcome,
-                        subs,
-                    } => {
-                        // lint:allow(checked-indexing): busy holds indices < shards.len()
-                        self.shards[i] = shard;
-                        self.restore_subs(i, chunk_count, subs);
-                        self.outcomes.push(outcome);
-                    }
-                    // Unreachable: ingest jobs answer Ingested (the ring
-                    // is FIFO). Surface the protocol violation as a
-                    // deterministic error instead of losing it silently.
-                    other => {
-                        drop(other);
-                        self.outcomes
-                            .push((Vec::new(), vec![(String::new(), protocol_error())]));
-                    }
-                }
-            }
-        }
+        let chunks = self.route(records)?;
+        self.ingest_shards(chunks)?;
         self.settle()
     }
 
-    /// Assembles the sub-partition list for shard `s`: the route chunks'
-    /// buckets in chunk order (restoring global arrival order), then the
-    /// engine's serial/debut partition last — pushed unconditionally,
-    /// even when empty, so [`Engine::restore_subs`] can undo the moves by
-    /// position alone. Every move is a `mem::take`; nothing is copied.
-    fn build_subs(&mut self, s: usize, chunk_count: usize) -> Vec<Vec<(u32, usize)>> {
-        let mut subs = match self.gather.get_mut(s) {
-            Some(g) => std::mem::take(g),
-            None => Vec::new(), // unreachable: gather is sized to the pool
+    /// Phase 1: slice the batch into route chunks — one below
+    /// [`Engine::PARALLEL_ROUTE_MIN`] records, else every scratch chunk
+    /// (`Courier::DEPTH` per worker, so each worker buckets two chunks back
+    /// to back) — and run one route job per chunk; the caller thread only
+    /// memcpys each chunk's keys into its arena just before submitting it.
+    /// Once the chunks are back, the interner `Arc` is unique again and
+    /// the (cold) debut pass interns misses. Returns the chunk count.
+    fn route<K: AsRef<str>>(&mut self, records: &[(K, usize)]) -> Result<usize, DistError> {
+        let lanes = if records.len() < Self::PARALLEL_ROUTE_MIN {
+            1
+        } else {
+            self.route.len()
         };
-        for chunk in self.route.iter_mut().take(chunk_count) {
+        let per = records.len().div_ceil(lanes).max(1);
+        let chunks = records.len().div_ceil(per);
+        let shards = self.shards.len();
+        self.run_jobs(
+            chunks,
+            |engine, c| {
+                // lint:allow(checked-indexing): c < chunks = ⌈len / per⌉, so c·per < len
+                let slice = &records[c * per..((c + 1) * per).min(records.len())];
+                // lint:allow(checked-indexing): c < chunks <= lanes <= route.len()
+                let chunk = &mut engine.route[c];
+                chunk.fill(slice, shards);
+                ShardJob::Route(std::mem::take(chunk), Arc::clone(&engine.interner))
+            },
+            ShardReply::routed,
+            // lint:allow(checked-indexing): c < chunks <= route.len()
+            |engine, c, chunk| engine.route[c] = chunk,
+        )?;
+        for c in 0..chunks {
+            self.absorb_misses(c);
+        }
+        Ok(chunks)
+    }
+
+    /// The debut pass: records whose keys missed the frozen interner
+    /// snapshot are interned serially — in global arrival order (chunk
+    /// order, then in-chunk order), which fixes debut numbering for every
+    /// chunking — and pushed onto their shard's partition. A key missing
+    /// from the snapshot misses in *every* chunk, so all its records
+    /// funnel through here in order. Keys are read from the chunk's arena,
+    /// which the route job just streamed through cache. Cold: a warm batch
+    /// has no misses and skips straight through.
+    fn absorb_misses(&mut self, c: usize) {
+        // lint:allow(checked-indexing): c < chunks <= route.len()
+        let chunk = std::mem::take(&mut self.route[c]);
+        for &(i, hash) in &chunk.misses {
+            // lint:allow(checked-indexing): misses index the chunk's spans
+            let (start, end, value) = chunk.spans[i];
+            // lint:allow(checked-indexing): spans index the chunk's arena
+            let (shard, slot) = self.intern(&chunk.arena[start..end], hash);
+            // lint:allow(checked-indexing): intern returns an in-pool shard index
+            self.parts[shard].push((slot, value));
+        }
+        // lint:allow(checked-indexing): same chunk as above
+        self.route[c] = chunk;
+    }
+
+    /// Phase 2: find the busy shards and run one ingest job per busy
+    /// shard over its chunk-ordered sub-partition list (the first
+    /// `chunks` route chunks' buckets, then its partition), pushing each
+    /// shard's outcome in shard order — deterministic regardless of which
+    /// worker finishes first.
+    fn ingest_shards(&mut self, chunks: usize) -> Result<(), DistError> {
+        self.busy.clear();
+        for s in 0..self.shards.len() {
+            let mut buckets = self.route.iter().take(chunks).map(|c| c.buckets.get(s));
+            let busy = self.parts.get(s).is_some_and(|p| !p.is_empty())
+                || buckets.any(|b| b.is_some_and(|b| !b.is_empty()));
+            if busy {
+                self.busy.push(s as u32);
+            }
+        }
+        self.run_jobs(
+            self.busy.len(),
+            |engine, j| {
+                let subs = engine.build_subs(j, chunks);
+                ShardJob::Ingest(engine.take_busy(j), subs)
+            },
+            ShardReply::ingested,
+            |engine, j, (shard, outcome, subs)| {
+                engine.restore_busy(j, shard);
+                engine.restore_subs(j, subs);
+                engine.outcomes.push(outcome);
+            },
+        )
+    }
+
+    /// Assembles the sub-partition list for busy shard `busy[j]`: the
+    /// first `chunks` route chunks' buckets in chunk order (restoring
+    /// global arrival order), then the engine's debut partition last.
+    /// Every move is a `mem::take`; nothing is copied.
+    fn build_subs(&mut self, j: usize, chunks: usize) -> Subs {
+        // lint:allow(checked-indexing): j < busy.len(); busy holds in-pool shard indices
+        let s = self.busy[j] as usize;
+        // lint:allow(checked-indexing): gather is sized to the pool
+        let mut subs = std::mem::take(&mut self.gather[s]);
+        for chunk in self.route.iter_mut().take(chunks) {
             if let Some(bucket) = chunk.buckets.get_mut(s) {
                 subs.push(std::mem::take(bucket));
             }
         }
-        if let Some(part) = self.parts.get_mut(s) {
-            subs.push(std::mem::take(part));
-        }
+        // lint:allow(checked-indexing): parts is sized to the pool
+        subs.push(std::mem::take(&mut self.parts[s]));
         subs
     }
 
-    /// Returns a sub-partition list's buffers to their scratch homes —
-    /// the last one to `parts[s]`, the rest to the route chunks' buckets
-    /// in chunk order — cleared but with capacity intact, and parks the
-    /// emptied list itself back in `gather[s]`.
-    fn restore_subs(&mut self, s: usize, chunk_count: usize, mut subs: Vec<Vec<(u32, usize)>>) {
-        if let Some(mut part) = subs.pop() {
+    /// Returns busy shard `busy[j]`'s sub-partition buffers to their
+    /// scratch homes — the last one to its partition, the rest to the
+    /// route chunks' buckets in chunk order — cleared but with capacity
+    /// intact, and parks the emptied list itself back in its gather slot.
+    fn restore_subs(&mut self, j: usize, mut subs: Subs) {
+        // lint:allow(checked-indexing): j < busy.len(); busy holds in-pool shard indices
+        let s = self.busy[j] as usize;
+        let mut buffers = subs.drain(..);
+        if let Some(mut part) = buffers.next_back() {
             part.clear();
-            if let Some(home) = self.parts.get_mut(s) {
-                *home = part;
-            }
+            // lint:allow(checked-indexing): parts is sized to the pool
+            self.parts[s] = part;
         }
-        for c in (0..chunk_count).rev() {
-            let Some(mut bucket) = subs.pop() else {
-                break; // unreachable: build_subs pushed one bucket per chunk
-            };
+        for (chunk, mut bucket) in self.route.iter_mut().zip(buffers) {
             bucket.clear();
-            if let Some(home) = self.route.get_mut(c).and_then(|ch| ch.buckets.get_mut(s)) {
+            if let Some(home) = chunk.buckets.get_mut(s) {
                 *home = bucket;
             }
         }
-        subs.clear();
-        if let Some(g) = self.gather.get_mut(s) {
-            *g = subs;
-        }
+        // lint:allow(checked-indexing): gather is sized to the pool
+        self.gather[s] = subs;
     }
 
-    /// Clears every partition and route-bucket scratch buffer — the
-    /// consistent-state bailout when a route pass fails mid-batch (only
-    /// reachable through states that are themselves unreachable; see
-    /// [`lost_record`]). Capacities are retained.
-    #[cold]
-    fn reset_partitions(&mut self) {
-        for part in &mut self.parts {
-            part.clear();
-        }
-        for chunk in &mut self.route {
-            for bucket in &mut chunk.buckets {
-                bucket.clear();
-            }
-            chunk.misses.clear();
-        }
+    /// Moves busy shard `busy[j]`'s slab out for its job.
+    fn take_busy(&mut self, j: usize) -> Shard {
+        // lint:allow(checked-indexing): j < busy.len(); busy holds in-pool shard indices
+        std::mem::take(&mut self.shards[self.busy[j] as usize])
+    }
+
+    /// Reinstalls busy shard `busy[j]`'s slab from its job's reply.
+    fn restore_busy(&mut self, j: usize, shard: Shard) {
+        // lint:allow(checked-indexing): j < busy.len(); busy holds in-pool shard indices
+        self.shards[self.busy[j] as usize] = shard;
     }
 
     /// Flushes every stream: completed-but-uncollected windows, then each
-    /// stream's partial tail (when it holds records) — fanned across the
-    /// persistent workers like [`ingest_batch`](Engine::ingest_batch)
-    /// (inline when at most one shard holds streams), sorted by
-    /// `(stream, window id)`, with the same independent-failure contract.
+    /// stream's partial tail (when it holds records) — one flush job per
+    /// shard holding streams, fanned out like
+    /// [`ingest_batch`](Engine::ingest_batch), sorted by `(stream, window
+    /// id)`, with the same independent-failure contract.
     pub fn flush(&mut self) -> Result<Vec<WindowReport>, DistError> {
         self.busy.clear();
         for (i, shard) in self.shards.iter().enumerate() {
@@ -1745,44 +1549,69 @@ impl Engine {
                 self.busy.push(i as u32);
             }
         }
-        if self.busy.len() <= 1 || self.workers.is_empty() {
-            for j in 0..self.busy.len() {
-                // lint:allow(checked-indexing): j < busy.len(); busy holds shard indices
-                let i = self.busy[j] as usize;
-                // lint:allow(checked-indexing): busy holds indices < shards.len()
-                let outcome = self.shards[i].flush();
-                self.outcomes.push(outcome);
+        self.run_jobs(
+            self.busy.len(),
+            |engine, j| ShardJob::Flush(engine.take_busy(j)),
+            ShardReply::flushed,
+            |engine, j, (shard, outcome)| {
+                engine.restore_busy(j, shard);
+                engine.outcomes.push(outcome);
+            },
+        )?;
+        self.settle()
+    }
+
+    /// The one fan-out helper every shard operation goes through: job `j`
+    /// is built by `make`, run, unpacked by `unpack`, and handed to `take`,
+    /// in job order. A lone job, or any job on an engine without workers,
+    /// runs inline through [`handle`]. More jobs go round-robin, job `j` to
+    /// worker `j % workers`; job `j` is submitted only after job
+    /// `j − DEPTH × workers` (the oldest on that same FIFO ring) is
+    /// collected, so no ring ever holds more than `Courier::DEPTH`.
+    ///
+    /// A reply of the wrong variant is the one protocol violation: the
+    /// other replies are still collected and taken, so no ring is left
+    /// holding work, and the call then fails with [`protocol_error`].
+    fn run_jobs<T>(
+        &mut self,
+        count: usize,
+        mut make: impl FnMut(&mut Engine, usize) -> ShardJob,
+        unpack: fn(ShardReply) -> Option<T>,
+        mut take: impl FnMut(&mut Engine, usize, T),
+    ) -> Result<(), DistError> {
+        let mut mismatched = false;
+        let mut deliver = |engine: &mut Engine, j: usize, reply: ShardReply| match unpack(reply) {
+            Some(payload) => take(engine, j, payload),
+            None => mismatched = true,
+        };
+        let workers = self.workers.len();
+        if count <= 1 || workers == 0 {
+            for j in 0..count {
+                let reply = handle(make(self, j));
+                deliver(self, j, reply);
             }
         } else {
-            for j in 0..self.busy.len() {
-                // lint:allow(checked-indexing): j < busy.len(); busy holds shard indices
-                let i = self.busy[j] as usize;
-                // lint:allow(checked-indexing): busy holds indices < shards.len()
-                let shard = std::mem::take(&mut self.shards[i]);
-                // lint:allow(checked-indexing): workers.len() == shards.len() when non-empty
-                self.workers[i].submit(ShardJob::Flush { shard });
-            }
-            for j in 0..self.busy.len() {
-                // lint:allow(checked-indexing): j < busy.len(); busy holds shard indices
-                let i = self.busy[j] as usize;
-                // lint:allow(checked-indexing): workers.len() == shards.len() when non-empty
-                match self.workers[i].collect() {
-                    ShardReply::Flushed { shard, outcome } => {
-                        // lint:allow(checked-indexing): busy holds indices < shards.len()
-                        self.shards[i] = shard;
-                        self.outcomes.push(outcome);
-                    }
-                    // Unreachable: flush jobs answer Flushed (FIFO ring);
-                    // surface the violation deterministically.
-                    other => {
-                        drop(other);
-                        self.outcomes
-                            .push((Vec::new(), vec![(String::new(), protocol_error())]));
-                    }
+            let window = workers * Courier::<ShardJob, ShardReply>::DEPTH;
+            for j in 0..count {
+                if let Some(done) = j.checked_sub(window) {
+                    // lint:allow(checked-indexing): done % workers < workers == workers.len()
+                    let reply = self.workers[done % workers].collect();
+                    deliver(self, done, reply);
                 }
+                let job = make(self, j);
+                // lint:allow(checked-indexing): j % workers < workers == workers.len()
+                self.workers[j % workers].submit(job);
+            }
+            for done in count.saturating_sub(window)..count {
+                // lint:allow(checked-indexing): done % workers < workers == workers.len()
+                let reply = self.workers[done % workers].collect();
+                deliver(self, done, reply);
             }
         }
-        self.settle()
+        if mismatched {
+            return Err(protocol_error());
+        }
+        Ok(())
     }
 
     /// [`Engine::flush`], reordered into stream **debut order** (the
@@ -1799,7 +1628,7 @@ impl Engine {
             report.stream.as_deref().map_or(u32::MAX, |key| {
                 self.interner
                     .lookup(key.as_bytes(), key_hash(key))
-                    .unwrap_or(u32::MAX)
+                    .map_or(u32::MAX, |(id, _)| id)
             })
         });
         Ok(tails)
@@ -1815,9 +1644,9 @@ impl Engine {
     fn settle(&mut self) -> Result<Vec<WindowReport>, DistError> {
         let mut reports = Vec::new();
         let mut first_error: Option<(String, DistError)> = None;
-        for (shard_reports, shard_errors) in self.outcomes.drain(..) {
-            reports.extend(shard_reports);
-            for (key, e) in shard_errors {
+        for outcome in self.outcomes.drain(..) {
+            reports.extend(outcome.reports);
+            for (key, e) in outcome.errors {
                 let smaller = match &first_error {
                     Some((held, _)) => key < *held,
                     None => true,
@@ -2060,6 +1889,14 @@ mod tests {
         let mut via_batch = b.ingest_batch(&records).unwrap();
         via_batch.extend(b.flush().unwrap());
         assert_eq!(via_single, via_batch);
+        // Both entry points take the same per-stream step, so the retained
+        // ledgers match too (labels and samples; seconds are wall time).
+        let spend = |engine: &Engine| -> Vec<(String, usize)> {
+            let ledger = engine.ledger("solo").unwrap();
+            ledger.iter().map(|e| (e.label.clone(), e.samples)).collect()
+        };
+        assert_eq!(spend(&a).len(), 1 + standing().len(), "draw + one per analysis");
+        assert_eq!(spend(&a), spend(&b));
     }
 
     #[test]
@@ -2229,8 +2066,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_answers_mid_window_and_routes_over_workers() {
-        // 2 shards → the query really crosses a Courier mailbox.
+    fn snapshot_answers_mid_window_on_a_sharded_engine() {
+        // 2 shards: the query is one job on the owning shard.
         let mut engine = engine(2, 10_000);
         let records = keyed_events(64, 5_000, &["api", "web"], 9);
         assert!(engine.ingest_batch(&records).unwrap().is_empty(), "mid-window");
@@ -2298,7 +2135,7 @@ mod tests {
         engine
             .ingest_batch(&[("alpha".to_string(), 3usize), ("zeta".to_string(), 4)])
             .unwrap();
-        assert_eq!(engine.stream_count(), 2);
+        assert_eq!(engine.streams(), 2);
         assert_eq!(engine.stream_seen(), [("zeta", 3), ("alpha", 1)]);
     }
 
@@ -2332,11 +2169,11 @@ mod tests {
         }
         // Coordinates, counters and ledgers survived the moves.
         assert_eq!(live.shards(), 2);
-        assert_eq!(live.stream_count(), keys.len());
+        assert_eq!(live.streams(), keys.len());
         for key in keys {
             assert_eq!(live.shard_of(key), {
-                let id = live.interner.lookup(key.as_bytes(), key_hash(key)).unwrap();
-                live.interner.entries[id as usize].shard as usize
+                let (_, entry) = live.interner.lookup(key.as_bytes(), key_hash(key)).unwrap();
+                entry.shard as usize
             });
             assert!(live.ledger(key).is_some());
         }

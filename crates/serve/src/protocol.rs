@@ -143,7 +143,7 @@ pub fn stats_summary(engine: &Engine) -> String {
         })
         .collect();
     reply_line(&Value::map([
-        ("streams", engine.stream_count().serialize()),
+        ("streams", engine.streams().serialize()),
         ("records", engine.seen().serialize()),
         ("windows", engine.windows().serialize()),
         ("shards", engine.shards().serialize()),

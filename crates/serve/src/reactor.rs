@@ -541,7 +541,7 @@ pub fn run<W: Write>(
 
     Ok(ServerSummary {
         records: engine.seen(),
-        streams: engine.stream_count(),
+        streams: engine.streams(),
         windows,
         shards: engine.shards(),
     })

@@ -12,8 +12,10 @@
 //! count). Shard counts 1 (inline path), 2 and 4 (persistent-worker path)
 //! are exercised sequentially inside that single test, each with a batch
 //! large enough to engage the parallel route fan-out
-//! (`Engine::PARALLEL_ROUTE_MIN`) *and* a small batch that routes serially
-//! on the caller thread — both paths must be allocation-free warm.
+//! (`Engine::PARALLEL_ROUTE_MIN`), a small batch that routes as one chunk
+//! on the caller thread, *and* a large batch of one key, whose single
+//! busy shard ingests as a lone inline job — every path must be
+//! allocation-free warm.
 
 use alloc_counter::CountingAllocator;
 use khist::prelude::*;
@@ -62,14 +64,23 @@ fn engine(shards: usize) -> Engine {
 fn warm_ingest_batch_allocates_nothing() {
     // The large batch crosses `Engine::PARALLEL_ROUTE_MIN`, so multi-shard
     // engines route it through the parallel chunk fan-out; the small batch
-    // stays below the threshold and routes serially on the caller thread.
+    // stays below the threshold and routes as one chunk on the caller thread.
     // Both paths must be allocation-free once warm.
     let large = batch(64, Engine::PARALLEL_ROUTE_MIN * 4);
     let small = batch(64, Engine::PARALLEL_ROUTE_MIN / 4);
     assert!(large.len() >= Engine::PARALLEL_ROUTE_MIN);
     assert!(small.len() < Engine::PARALLEL_ROUTE_MIN);
+    // One key touches one shard: the route still fans out, but the ingest
+    // is a single job and runs inline even on a multi-shard engine.
+    let one_key: Vec<(&'static str, usize)> = (0..Engine::PARALLEL_ROUTE_MIN * 2)
+        .map(|i| (KEYS[0], (i * 7 + i / 3) % 64))
+        .collect();
     for shards in [1usize, 2, 4] {
-        for (path, records) in [("parallel", &large), ("serial", &small)] {
+        for (path, records) in [
+            ("parallel", &large),
+            ("serial", &small),
+            ("one-key", &one_key),
+        ] {
             let mut engine = engine(shards);
             // Warm-up: debut every key, push every reservoir past its fill
             // phase, and let every scratch buffer (partitions, route-chunk
