@@ -10,16 +10,17 @@
 //! overridden with `--n`.
 //!
 //! Every command is a thin shell over the typed analysis API
-//! ([`khist_core::api`]): `learn`/`test` run a single [`Analysis`] and
-//! `analyze` runs a whole batch through one shared
-//! [`SamplePlan`](khist_core::api::SamplePlan) — a single streaming pass
-//! over the record file no matter how many analyses ride on it. The
-//! binary streams record files through a [`RecordFileOracle`] (fixed-size
-//! reservoirs, so a multi-million-line file never gets materialized),
-//! while the in-memory helpers ([`run_learn`] / [`run_test`]) feed
-//! pre-split data through a [`ReplayOracle`]. Randomness comes from
-//! `--seed` (default 0), so every run is reproducible. `--json` swaps the
-//! human rendering for the serde [`Report`] JSON.
+//! ([`khist_core::api`]). `learn`, `test` and `analyze` share one front
+//! end: the record file streams through a [`RecordFileOracle`] (fixed-size
+//! reservoirs, so a multi-million-line file never gets materialized) and
+//! the whole batch runs from one shared
+//! [`SamplePlan`](khist_core::api::SamplePlan), a single pass over the
+//! file. `learn` and `test` are one-analysis batches that differ from
+//! `analyze` only in how the report is rendered. Keyed `watch` and `serve`
+//! frame lines with [`khist_serve::protocol::parse_data_line`] and ingest
+//! into the same sharded [`Engine`]. Randomness comes from `--seed`
+//! (default 0), so every run is reproducible. `--json` swaps the human
+//! rendering for the serde [`Report`] JSON.
 
 use khist_core::api::{
     run_analyses, Analysis, AnalysisKind, Engine, FleetReport, Learn, LedgerEntry, Monitor,
@@ -29,12 +30,18 @@ use khist_core::monotone::monotonicity_budget;
 use khist_core::uniformity::UniformityBudget;
 use khist_oracle::{
     empirical_distribution, L1TesterBudget, L2TesterBudget, LearnerBudget, RecordFileOracle,
-    ReplayOracle, SampleOracle, SampleSet,
+    SampleOracle, SampleSet, Window,
 };
+use khist_serve::protocol::{parse_data_line, DataLine};
 use serde::{Serialize, Value};
+use std::io::{BufRead, Write};
 
 /// The analysis names `--run` accepts, listed verbatim in error messages.
 const VALID_RUNS: &str = "learn, l1, l2, uniformity, monotone";
+
+/// Why `--fleet` without `--key-field` is rejected.
+const FLEET_NEEDS_KEY: &str = "--fleet needs --key-field: the fleet rollup aggregates keyed \
+                               streams, and un-keyed input is a single stream";
 
 /// Parsed command-line request.
 #[derive(Debug, Clone, PartialEq)]
@@ -316,11 +323,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 );
             }
             if fleet && key_field.is_none() {
-                return Err(
-                    "--fleet needs --key-field: the fleet rollup aggregates keyed \
-                     streams, and un-keyed input is a single stream"
-                        .into(),
-                );
+                return Err(FLEET_NEEDS_KEY.into());
             }
             Ok(Command::Watch {
                 path: need_path(path)?,
@@ -416,47 +419,6 @@ pub fn infer_domain(samples: &[usize], override_n: usize) -> Result<usize, Strin
     Ok(override_n)
 }
 
-/// Splits raw samples into the learner's main + `r` collision sets by
-/// round-robin (keeps the sets independent when the input is i.i.d.).
-pub fn split_for_learner(samples: &[usize], r: usize) -> (SampleSet, Vec<SampleSet>) {
-    let lanes = r + 1;
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); lanes];
-    for (t, &s) in samples.iter().enumerate() {
-        buckets[t % lanes].push(s);
-    }
-    let main = SampleSet::from_samples(buckets[0].clone());
-    let sets = buckets[1..]
-        .iter()
-        .map(|b| SampleSet::from_samples(b.clone()))
-        .collect();
-    (main, sets)
-}
-
-/// Builds the CLI's learn request: the paper's budget clamped to the data
-/// actually available, Theorem 2 candidates.
-fn learn_analysis(n: usize, k: usize, eps: f64, available: usize) -> Result<Analysis, String> {
-    let budget = budget_for_data(n, k, eps, available)?;
-    Ok(Learn::k(k).eps(eps).budget(budget).into())
-}
-
-/// Runs `learn` against any [`SampleOracle`] through the analysis engine:
-/// one batched draw (a single pass for streaming backends), a typed
-/// [`Report`] back.
-///
-/// `available` is the number of records the backend can actually serve
-/// (used to clamp the paper's budget).
-pub fn run_learn_with<O: SampleOracle + ?Sized>(
-    oracle: &mut O,
-    k: usize,
-    eps: f64,
-    available: usize,
-    seed: u64,
-) -> Result<Report, String> {
-    let analysis = learn_analysis(oracle.domain_size(), k, eps, available)?;
-    let (mut reports, _) = run_analyses(oracle, seed, &[analysis]).map_err(fmt_err)?;
-    Ok(reports.pop().expect("one analysis, one report"))
-}
-
 /// Renders a learn [`Report`] as the human piece table.
 pub fn render_learn(report: &Report) -> String {
     let Some(histogram) = &report.histogram else {
@@ -478,63 +440,6 @@ pub fn render_learn(report: &Report) -> String {
         ));
     }
     text
-}
-
-/// Runs `learn` on in-memory samples: splits *all* of them round-robin
-/// into one equal lane per budgeted set (the seed behaviour — unlike the
-/// streaming path, which reservoir-subsamples down to the budgeted sizes)
-/// and replays the split through the generic path.
-pub fn run_learn(
-    samples: &[usize],
-    k: usize,
-    eps: f64,
-    n_override: usize,
-) -> Result<String, String> {
-    let n = infer_domain(samples, n_override)?;
-    // run_learn_with recomputes this same (deterministic) budget; it fixes
-    // the lane count the replayed split must provide.
-    let budget = budget_for_data(n, k, eps, samples.len())?;
-    let (main, sets) = split_for_learner(samples, budget.r);
-    let mut recorded = vec![main];
-    recorded.extend(sets);
-    let mut oracle = ReplayOracle::from_sets(n, recorded);
-    run_learn_with(&mut oracle, k, eps, samples.len(), 0).map(|r| render_learn(&r))
-}
-
-/// The tester's split of `available` records: `r` equal sets of `m`.
-/// Single source of truth — [`run_test`]'s replayed chunks must match the
-/// sets [`run_test_with`] requests.
-fn tester_split(available: usize) -> Result<(usize, usize), String> {
-    let r = 7usize.min(available / 2).max(1);
-    let m = available / r;
-    if m < 2 {
-        return Err("not enough samples to test".into());
-    }
-    Ok((r, m))
-}
-
-/// Builds the CLI's test request for the chosen norm, sized to the data.
-fn test_analysis(k: usize, eps: f64, norm: &str, available: usize) -> Result<Analysis, String> {
-    let (r, m) = tester_split(available)?;
-    Ok(match norm {
-        "l1" => TestL1::k(k).eps(eps).budget(L1TesterBudget { r, m }).into(),
-        _ => TestL2::k(k).eps(eps).budget(L2TesterBudget { r, m }).into(),
-    })
-}
-
-/// Runs `test` against any [`SampleOracle`] through the analysis engine:
-/// `r` equal sets in one batched draw, a typed [`Report`] back.
-pub fn run_test_with<O: SampleOracle + ?Sized>(
-    oracle: &mut O,
-    k: usize,
-    eps: f64,
-    norm: &str,
-    available: usize,
-    seed: u64,
-) -> Result<Report, String> {
-    let analysis = test_analysis(k, eps, norm, available)?;
-    let (mut reports, _) = run_analyses(oracle, seed, &[analysis]).map_err(fmt_err)?;
-    Ok(reports.pop().expect("one analysis, one report"))
 }
 
 /// Renders a tester [`Report`] as the human verdict line.
@@ -560,23 +465,9 @@ pub fn render_test(report: &Report, k: usize) -> String {
     )
 }
 
-/// Runs `test` on in-memory samples via a [`ReplayOracle`] of equal chunks.
-pub fn run_test(
-    samples: &[usize],
-    k: usize,
-    eps: f64,
-    n_override: usize,
-    norm: &str,
-) -> Result<String, String> {
-    let n = infer_domain(samples, n_override)?;
-    let (r, m) = tester_split(samples.len())?;
-    let chunks: Vec<Vec<usize>> = (0..r).map(|j| samples[j * m..(j + 1) * m].to_vec()).collect();
-    let mut oracle = ReplayOracle::from_raw(n, chunks);
-    run_test_with(&mut oracle, k, eps, norm, samples.len(), 0).map(|rep| render_test(&rep, k))
-}
-
-/// Builds the `analyze` batch from the `--run` list, every budget clamped
-/// to the records actually available.
+/// Builds the batch `--run` names, every budget clamped to the records
+/// actually available. `learn` gets the paper's budget with Theorem 2
+/// candidates; `l1`/`l2` split the records into `r` equal sets of `m`.
 fn analyze_batch(
     n: usize,
     k: usize,
@@ -586,8 +477,22 @@ fn analyze_batch(
 ) -> Result<Vec<Analysis>, String> {
     runs.iter()
         .map(|run| match run.as_str() {
-            "learn" => learn_analysis(n, k, eps, available),
-            "l1" | "l2" => test_analysis(k, eps, run, available),
+            "learn" => {
+                let budget = budget_for_data(n, k, eps, available)?;
+                Ok(Learn::k(k).eps(eps).budget(budget).into())
+            }
+            "l1" | "l2" => {
+                let r = 7usize.min(available / 2).max(1);
+                let m = available / r;
+                if m < 2 {
+                    return Err("not enough samples to test".into());
+                }
+                Ok(if run == "l1" {
+                    TestL1::k(k).eps(eps).budget(L1TesterBudget { r, m }).into()
+                } else {
+                    TestL2::k(k).eps(eps).budget(L2TesterBudget { r, m }).into()
+                })
+            }
             "uniformity" => {
                 let derived = UniformityBudget::calibrated(n, eps, 1.0).map_err(fmt_err)?;
                 let m = derived.m.min(available).max(2);
@@ -626,6 +531,31 @@ pub fn run_analyze_with<O: SampleOracle + ?Sized>(
 ) -> Result<(Vec<Report>, Vec<LedgerEntry>), String> {
     let batch = analyze_batch(oracle.domain_size(), k, eps, available, runs)?;
     run_analyses(oracle, seed, &batch).map_err(fmt_err)
+}
+
+/// The one front end of `learn`, `test` and `analyze`: opens the record
+/// file (its validating scan rejects a record outside `--n` with its
+/// line) and runs the `runs` batch from one shared draw, i.e. one pass.
+fn analyze_file(
+    path: &str,
+    k: usize,
+    eps: f64,
+    n: usize,
+    seed: u64,
+    runs: &[String],
+) -> Result<(Vec<Report>, Vec<LedgerEntry>), String> {
+    let mut oracle = RecordFileOracle::open(path, n, seed).map_err(fmt_err)?;
+    let available = oracle.records() as usize;
+    let result = run_analyze_with(&mut oracle, k, eps, runs, available, seed)?;
+    debug_assert_eq!(oracle.passes(), 1, "analyze must make exactly one pass");
+    Ok(result)
+}
+
+/// Renders the report of a one-analysis `learn`/`test` run: its JSON line,
+/// or the `human` text.
+fn render_each(reports: &[Report], json: bool, human: impl Fn(&Report) -> String) -> String {
+    let json_line = |report: &Report| format!("{}\n", report.to_json());
+    reports.iter().map(|r| if json { json_line(r) } else { human(r) }).collect()
 }
 
 /// Renders an `analyze` run: one line per report, then the sample ledger.
@@ -691,6 +621,38 @@ pub struct WatchOptions {
 /// How many steps a sliding `khist watch` window covers.
 const SLIDING_STEPS: u64 = 4;
 
+/// The window `--every`/`--window` select (tumbling over `every` records,
+/// or sliding by `every` over [`SLIDING_STEPS`] steps) and the standing
+/// batch, sized to the window's span.
+fn window_and_batch(opts: &WatchOptions) -> Result<(Window, Vec<Analysis>), String> {
+    let window = if opts.sliding {
+        let span = opts.every
+            .checked_mul(SLIDING_STEPS)
+            .ok_or_else(|| format!("--every {} overflows the sliding span", opts.every))?;
+        Window::Sliding {
+            span,
+            step: opts.every,
+        }
+    } else {
+        Window::Tumbling { span: opts.every }
+    };
+    let (Window::Tumbling { span } | Window::Sliding { span, .. }) = window;
+    let batch = analyze_batch(opts.n, opts.k, opts.eps, span as usize, &opts.runs)?;
+    Ok((window, batch))
+}
+
+/// The sharded [`Engine`] keyed `watch` and `serve` ingest into.
+fn keyed_engine(opts: &WatchOptions) -> Result<Engine, String> {
+    let (window, batch) = window_and_batch(opts)?;
+    Engine::builder(opts.n)
+        .seed(opts.seed)
+        .shards(opts.shards)
+        .window(window)
+        .analyses(batch)
+        .build()
+        .map_err(fmt_err)
+}
+
 /// Renders one [`WindowReport`] in the format the options select: one
 /// JSON line, or an indented human block.
 pub fn render_window(report: &WindowReport, json: bool) -> String {
@@ -730,11 +692,76 @@ pub fn render_fleet(report: &FleetReport, json: bool) -> String {
     text
 }
 
+/// The live output of a `watch` run: every write is flushed at once
+/// (monitoring must not wait for EOF), and the windows written are
+/// counted. A write returning `Ok(false)` means the consumer hung up
+/// (broken pipe). For a streaming tool that is a normal way to stop
+/// (`watch … | head`), not an error.
+struct Feed<'a, W> {
+    out: &'a mut W,
+    opts: &'a WatchOptions,
+    windows: u64,
+}
+
+impl<W: Write> Feed<'_, W> {
+    fn write(&mut self, text: &str) -> Result<bool, String> {
+        match self.out.write_all(text.as_bytes()).and_then(|()| self.out.flush()) {
+            Ok(()) => Ok(true),
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+            Err(e) => Err(fmt_err(e)),
+        }
+    }
+
+    /// Writes each window report in the format `--json` selects.
+    fn reports(&mut self, reports: &[WindowReport]) -> Result<bool, String> {
+        for report in reports {
+            if !self.write(&render_window(report, self.opts.json))? {
+                return Ok(false);
+            }
+            self.windows += 1;
+        }
+        Ok(true)
+    }
+
+    /// Writes the fleet rollup line, if `--fleet` asked for one.
+    fn fleet(&mut self, engine: &Engine) -> Result<bool, String> {
+        if !self.opts.fleet {
+            return Ok(true);
+        }
+        self.write(&render_fleet(&engine.fleet_report(), self.opts.json))
+    }
+}
+
+/// Hands each line of `input` and its 1-based number to `on_line`,
+/// stopping early (`Ok(false)`) when `on_line` reports the consumer hung
+/// up. One read buffer is reused for every line: `read_line` appends into
+/// it, so clearing (not dropping) between lines keeps the steady state
+/// free of per-line allocation.
+fn read_lines<R: BufRead>(
+    mut input: R,
+    mut on_line: impl FnMut(&str, usize) -> Result<bool, String>,
+) -> Result<bool, String> {
+    let mut line = String::with_capacity(256);
+    let mut lineno = 0usize;
+    loop {
+        line.clear();
+        let read = input
+            .read_line(&mut line)
+            .map_err(|e| format!("read failed at line {}: {e}", lineno + 1))?;
+        if read == 0 {
+            return Ok(true);
+        }
+        lineno += 1;
+        if !on_line(&line, lineno)? {
+            return Ok(false);
+        }
+    }
+}
+
 /// Streams records from `input` through a push-based [`Monitor`], writing
-/// one report per completed window to `out` *as it completes* (live
-/// monitoring: output must not wait for EOF). The final partial window is
-/// flushed at end of stream. Returns a human summary line (empty in JSON
-/// mode, which emits pure JSONL).
+/// one report per completed window to `out` *as it completes*. The final
+/// partial window is flushed at end of stream. Returns a human summary
+/// line (empty in JSON mode, which emits pure JSONL).
 ///
 /// Memory is bounded by the standing batch's sample plan — the stream is
 /// never stored, so `watch` handles unbounded input.
@@ -750,142 +777,77 @@ pub fn run_watch<R: std::io::BufRead, W: std::io::Write>(
         return run_watch_keyed(input, out, opts, field);
     }
     if opts.fleet {
-        return Err(
-            "--fleet needs --key-field: the fleet rollup aggregates keyed streams, and \
-             un-keyed input is a single stream"
-                .into(),
-        );
+        return Err(FLEET_NEEDS_KEY.into());
     }
-    let span = if opts.sliding {
-        opts.every
-            .checked_mul(SLIDING_STEPS)
-            .ok_or_else(|| format!("--every {} overflows the sliding span", opts.every))?
-    } else {
-        opts.every
+    let (window, batch) = window_and_batch(opts)?;
+    let mut monitor = Monitor::builder(opts.n)
+        .seed(opts.seed)
+        .window(window)
+        .analyses(batch)
+        .build()
+        .map_err(fmt_err)?;
+    let mut feed = Feed {
+        out,
+        opts,
+        windows: 0,
     };
-    let batch = analyze_batch(opts.n, opts.k, opts.eps, span as usize, &opts.runs)?;
-    let mut builder = Monitor::builder(opts.n).seed(opts.seed).analyses(batch);
-    builder = if opts.sliding {
-        builder.sliding(span, opts.every)
-    } else {
-        builder.tumbling(span)
-    };
-    let mut monitor = builder.build().map_err(fmt_err)?;
-
-    // `Ok(None)` means the consumer hung up (broken pipe) — for a
-    // streaming tool that is a normal way to stop (`watch … | head`),
-    // not an error.
-    let emit = |out: &mut W, reports: Vec<WindowReport>| -> Result<Option<u64>, String> {
-        let mut windows = 0;
-        for report in reports {
-            let write = out
-                .write_all(render_window(&report, opts.json).as_bytes())
-                .and_then(|()| out.flush());
-            match write {
-                Ok(()) => windows += 1,
-                Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(None),
-                Err(e) => return Err(fmt_err(e)),
-            }
-        }
-        Ok(Some(windows))
-    };
-
-    let mut windows = 0u64;
     let mut buffer: Vec<usize> = Vec::with_capacity(1024);
-    // One read buffer reused for every line: `read_line` appends into it,
-    // so clearing (not dropping) between lines keeps the steady state free
-    // of per-line allocation.
-    let mut input = input;
-    let mut line = String::with_capacity(256);
-    let mut lineno = 0usize;
-    loop {
-        line.clear();
-        let read = input
-            .read_line(&mut line)
-            .map_err(|e| format!("read failed at line {}: {e}", lineno + 1))?;
-        if read == 0 {
-            break;
-        }
-        lineno += 1;
+    let open = read_lines(input, |line, lineno| {
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
+            return Ok(true);
         }
         let value: usize = trimmed
             .parse()
             .map_err(|_| format!("line {lineno}: not an integer record: {trimmed}"))?;
-        buffer.push(value);
-        if buffer.len() >= 1024 {
-            let reports = monitor.ingest(&buffer).map_err(fmt_err)?;
-            buffer.clear();
-            match emit(out, reports)? {
-                Some(emitted) => windows += emitted,
-                None => return Ok(String::new()),
-            }
+        if value >= opts.n {
+            return Err(format!(
+                "line {lineno}: record {value} outside the declared domain [0, {})",
+                opts.n
+            ));
         }
-    }
+        buffer.push(value);
+        if buffer.len() < 1024 {
+            return Ok(true);
+        }
+        let reports = monitor.ingest(&buffer).map_err(fmt_err)?;
+        buffer.clear();
+        feed.reports(&reports)
+    })?;
     // Emit the final buffer's completed windows before flushing the tail,
     // so a tail-flush failure can never lose an already-computed report.
-    let reports = monitor.ingest(&buffer).map_err(fmt_err)?;
-    match emit(out, reports)? {
-        Some(emitted) => windows += emitted,
-        None => return Ok(String::new()),
-    }
-    let tail = monitor.flush().map_err(fmt_err)?;
-    match emit(out, tail)? {
-        Some(emitted) => windows += emitted,
-        None => return Ok(String::new()),
-    }
-    if opts.json {
+    let open = open && feed.reports(&monitor.ingest(&buffer).map_err(fmt_err)?)?;
+    let open = open && feed.reports(&monitor.flush().map_err(fmt_err)?)?;
+    if !open || opts.json {
         return Ok(String::new());
     }
     Ok(format!(
-        "watched {} records over {windows} windows ({} samples/window kept at most)\n",
+        "watched {} records over {} windows ({} samples/window kept at most)\n",
         monitor.seen(),
+        feed.windows,
         monitor.plan().total_samples().map_err(fmt_err)?,
     ))
 }
 
-/// Parses one keyed record line (`key value` or `value key`, whitespace
-/// separated): `Ok(None)` for blanks and `#` comments, a line-numbered
-/// error for un-keyed lines (a single field), extra fields, or a
-/// non-integer value field.
-///
-/// The key is returned as a slice borrowed from `line` — the hot path
-/// allocates only when building an error message.
-fn parse_keyed_record(
-    line: &str,
-    lineno: usize,
-    field: usize,
-) -> Result<Option<(&str, usize)>, String> {
-    let trimmed = line.trim();
-    if trimmed.is_empty() || trimmed.starts_with('#') {
-        return Ok(None);
-    }
-    let mut fields = trimmed.split_whitespace();
-    let (Some(first), Some(second)) = (fields.next(), fields.next()) else {
-        return Err(format!(
-            "line {lineno}: --key-field {field} needs keyed records (key and value per \
-             line), but this input is un-keyed: {trimmed}"
-        ));
-    };
-    if fields.next().is_some() {
-        // Two consumed above plus the one just seen plus whatever remains.
-        let total = 3 + fields.count();
-        return Err(format!(
-            "line {lineno}: keyed records carry exactly two fields (key and value), got \
-             {total}: {trimmed}"
-        ));
-    }
-    let (key, value_text) = if field == 0 {
-        (first, second)
-    } else {
-        (second, first)
-    };
-    let value: usize = value_text
-        .parse()
-        .map_err(|_| format!("line {lineno}: not an integer record: {value_text}"))?;
-    Ok(Some((key, value)))
+/// Ingests one staged chunk of keyed records (keys are `arena` spans),
+/// clears the stage, and writes the chunk's window reports. With
+/// `--fleet`, a chunk that closed a window is followed by a rollup line:
+/// the fleet state as of everything ingested so far.
+fn ingest_chunk<W: Write>(
+    engine: &mut Engine,
+    feed: &mut Feed<'_, W>,
+    arena: &mut String,
+    spans: &mut Vec<(usize, usize, usize)>,
+) -> Result<bool, String> {
+    let records: Vec<(&str, usize)> = spans
+        .iter()
+        // lint:allow(checked-indexing): spans are valid arena offsets by construction
+        .map(|&(start, end, value)| (&arena[start..end], value))
+        .collect();
+    let reports = engine.ingest_batch(&records).map_err(fmt_err)?;
+    spans.clear();
+    arena.clear();
+    Ok(feed.reports(&reports)? && (reports.is_empty() || feed.fleet(engine)?))
 }
 
 /// The keyed flavour of [`run_watch`]: demultiplexes `key value` lines
@@ -894,147 +856,57 @@ fn parse_keyed_record(
 /// complete, tagged by stream. Per-stream output is bit-identical for
 /// every `--shards` value; the interleaving is deterministic (sorted by
 /// stream, then window, within each ingested chunk).
-fn run_watch_keyed<R: std::io::BufRead, W: std::io::Write>(
+fn run_watch_keyed<R: BufRead, W: Write>(
     input: R,
     out: &mut W,
     opts: &WatchOptions,
     field: usize,
 ) -> Result<String, String> {
-    let span = if opts.sliding {
-        opts.every
-            .checked_mul(SLIDING_STEPS)
-            .ok_or_else(|| format!("--every {} overflows the sliding span", opts.every))?
-    } else {
-        opts.every
+    let mut engine = keyed_engine(opts)?;
+    let mut feed = Feed {
+        out,
+        opts,
+        windows: 0,
     };
-    let batch = analyze_batch(opts.n, opts.k, opts.eps, span as usize, &opts.runs)?;
-    let mut builder = Engine::builder(opts.n)
-        .seed(opts.seed)
-        .shards(opts.shards)
-        .analyses(batch);
-    builder = if opts.sliding {
-        builder.sliding(span, opts.every)
-    } else {
-        builder.tumbling(span)
-    };
-    let mut engine = builder.build().map_err(fmt_err)?;
-
-    // `Ok(None)` means the consumer hung up (broken pipe) — a normal way
-    // to stop a streaming tool, not an error.
-    let emit = |out: &mut W, reports: Vec<WindowReport>| -> Result<Option<u64>, String> {
-        let mut windows = 0;
-        for report in reports {
-            let write = out
-                .write_all(render_window(&report, opts.json).as_bytes())
-                .and_then(|()| out.flush());
-            match write {
-                Ok(()) => windows += 1,
-                Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => return Ok(None),
-                Err(e) => return Err(fmt_err(e)),
-            }
-        }
-        Ok(Some(windows))
-    };
-    // With --fleet, a rollup line follows every chunk that reported a
-    // window (and the final tails): the fleet state as of everything
-    // ingested so far. `Ok(false)` = consumer hung up.
-    let emit_fleet = |out: &mut W, engine: &Engine| -> Result<bool, String> {
-        let write = out
-            .write_all(render_fleet(&engine.fleet_report(), opts.json).as_bytes())
-            .and_then(|()| out.flush());
-        match write {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
-            Err(e) => Err(fmt_err(e)),
-        }
-    };
-
-    let mut windows = 0u64;
     // Each chunk costs one mailbox round per busy shard, so the chunk must
     // be big enough to amortize the handoff: scale it with the shard count
     // so every worker gets thousands of records per round. Memory stays
     // bounded (chunk × ~word-sized records), and report latency stays well
     // under a window span.
     let chunk = 4096 * opts.shards;
-    // Zero-copy line handling: one reused read buffer, keys copied into a
-    // per-chunk byte arena (cleared, not freed, between chunks) and
-    // addressed by spans. No per-line `String` is ever allocated.
-    let mut input = input;
-    let mut line = String::with_capacity(256);
-    let mut lineno = 0usize;
+    // Zero-copy line handling: keys are copied into a per-chunk byte arena
+    // (cleared, not freed, between chunks) and addressed by spans. No
+    // per-line `String` is ever allocated.
     let mut arena = String::with_capacity(chunk * 8);
     let mut spans: Vec<(usize, usize, usize)> = Vec::with_capacity(chunk);
-    // Borrows `arena` for the duration of one `ingest_batch` call.
-    let ingest_chunk = |engine: &mut Engine,
-                        arena: &str,
-                        spans: &[(usize, usize, usize)]|
-     -> Result<Vec<WindowReport>, String> {
-        let records: Vec<(&str, usize)> = spans
-            .iter()
-            // lint:allow(checked-indexing): spans are valid arena offsets by construction
-            .map(|&(start, end, value)| (&arena[start..end], value))
-            .collect();
-        engine.ingest_batch(&records).map_err(fmt_err)
-    };
-    loop {
-        line.clear();
-        let read = input
-            .read_line(&mut line)
-            .map_err(|e| format!("read failed at line {}: {e}", lineno + 1))?;
-        if read == 0 {
-            break;
+    let open = read_lines(input, |line, lineno| {
+        if let DataLine::Record { key, value } = parse_data_line(line, lineno, field, opts.n)? {
+            let start = arena.len();
+            arena.push_str(key);
+            spans.push((start, arena.len(), value));
         }
-        lineno += 1;
-        let Some((key, value)) = parse_keyed_record(&line, lineno, field)? else {
-            continue;
-        };
-        let start = arena.len();
-        arena.push_str(key);
-        spans.push((start, arena.len(), value));
-        if spans.len() >= chunk {
-            let reports = ingest_chunk(&mut engine, &arena, &spans)?;
-            spans.clear();
-            arena.clear();
-            let reported = !reports.is_empty();
-            match emit(out, reports)? {
-                Some(emitted) => windows += emitted,
-                None => return Ok(String::new()),
-            }
-            if opts.fleet && reported && !emit_fleet(out, &engine)? {
-                return Ok(String::new());
-            }
+        if spans.len() < chunk {
+            return Ok(true);
         }
-    }
-    // Emit the final buffer's completed windows before flushing the tails,
+        ingest_chunk(&mut engine, &mut feed, &mut arena, &mut spans)
+    })?;
+    // Emit the final chunk's completed windows before flushing the tails,
     // so a tail-flush failure can never lose an already-computed report.
-    let reports = ingest_chunk(&mut engine, &arena, &spans)?;
-    let reported = !reports.is_empty();
-    match emit(out, reports)? {
-        Some(emitted) => windows += emitted,
-        None => return Ok(String::new()),
-    }
-    if opts.fleet && reported && !emit_fleet(out, &engine)? {
-        return Ok(String::new());
-    }
+    let open = open && ingest_chunk(&mut engine, &mut feed, &mut arena, &mut spans)?;
     // Tails come out in debut order — the order streams first appeared —
     // not key-lexicographic order, so the end-of-stream output lines up
     // with the input's own history.
-    let tails = engine.flush_debut_ordered().map_err(fmt_err)?;
-    match emit(out, tails)? {
-        Some(emitted) => windows += emitted,
-        None => return Ok(String::new()),
-    }
+    let open = open && feed.reports(&engine.flush_debut_ordered().map_err(fmt_err)?)?;
     // The closing rollup: the whole stream's fleet state, tails included.
-    if opts.fleet && !emit_fleet(out, &engine)? {
-        return Ok(String::new());
-    }
-    if opts.json {
+    let open = open && feed.fleet(&engine)?;
+    if !open || opts.json {
         return Ok(String::new());
     }
     Ok(format!(
-        "watched {} records from {} streams over {windows} windows on {} shard{}\n",
+        "watched {} records from {} streams over {} windows on {} shard{}\n",
         engine.seen(),
         engine.streams(),
+        feed.windows,
         engine.shards(),
         if engine.shards() == 1 { "" } else { "s" },
     ))
@@ -1152,15 +1024,11 @@ fn fmt_err(e: impl std::fmt::Display) -> String {
 
 /// Entry point shared by the binary: dispatches a parsed command.
 ///
-/// `learn`, `test` and `analyze` stream the record file through a
-/// [`RecordFileOracle`] — the file is scanned once for validation (domain
-/// violations against `--n` fail here with the offending line) and then
-/// streamed per draw, never materialized. `analyze` serves its whole
-/// batch from one draw, i.e. one pass.
+/// `learn`, `test` and `analyze` go through one front end: the record file
+/// is scanned once for validation (domain violations against `--n` fail
+/// here with the offending line) and then streamed once for the batch's
+/// shared draw, never materialized.
 pub fn dispatch(cmd: Command) -> Result<String, String> {
-    let open = |path: &str, n: usize, seed: u64| -> Result<RecordFileOracle, String> {
-        RecordFileOracle::open(path, n, seed).map_err(fmt_err)
-    };
     match cmd {
         Command::Help => Ok(usage().to_string()),
         Command::Learn {
@@ -1171,14 +1039,8 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
             seed,
             json,
         } => {
-            let mut oracle = open(&path, n, seed)?;
-            let available = oracle.records() as usize;
-            let report = run_learn_with(&mut oracle, k, eps, available, seed)?;
-            Ok(if json {
-                format!("{}\n", report.to_json())
-            } else {
-                render_learn(&report)
-            })
+            let (reports, _) = analyze_file(&path, k, eps, n, seed, &["learn".into()])?;
+            Ok(render_each(&reports, json, render_learn))
         }
         Command::Test {
             path,
@@ -1189,14 +1051,8 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
             seed,
             json,
         } => {
-            let mut oracle = open(&path, n, seed)?;
-            let available = oracle.records() as usize;
-            let report = run_test_with(&mut oracle, k, eps, &norm, available, seed)?;
-            Ok(if json {
-                format!("{}\n", report.to_json())
-            } else {
-                render_test(&report, k)
-            })
+            let (reports, _) = analyze_file(&path, k, eps, n, seed, &[norm])?;
+            Ok(render_each(&reports, json, |report| render_test(report, k)))
         }
         Command::Analyze {
             path,
@@ -1207,11 +1063,7 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
             json,
             runs,
         } => {
-            let mut oracle = open(&path, n, seed)?;
-            let available = oracle.records() as usize;
-            let (reports, ledger) =
-                run_analyze_with(&mut oracle, k, eps, &runs, available, seed)?;
-            debug_assert_eq!(oracle.passes(), 1, "analyze must make exactly one pass");
+            let (reports, ledger) = analyze_file(&path, k, eps, n, seed, &runs)?;
             Ok(if json {
                 format!("{}\n", reports_to_json(&reports))
             } else {
@@ -1249,7 +1101,9 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
             } else {
                 // A file input can be pre-scanned the way `learn`/`test`
                 // do it; reuse the oracle's validating scan.
-                open(&path, 0, seed)?.domain_size()
+                RecordFileOracle::open(&path, 0, seed)
+                    .map_err(fmt_err)?
+                    .domain_size()
             };
             let opts = WatchOptions {
                 k,
@@ -1264,13 +1118,12 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
                 shards,
                 fleet,
             };
-            let stdout = std::io::stdout();
+            let mut stdout = std::io::stdout().lock();
             if path == "-" {
-                let stdin = std::io::stdin();
-                run_watch(stdin.lock(), &mut stdout.lock(), &opts)
+                run_watch(std::io::stdin().lock(), &mut stdout, &opts)
             } else {
                 let file = std::fs::File::open(&path).map_err(|e| format!("{path}: {e}"))?;
-                run_watch(std::io::BufReader::new(file), &mut stdout.lock(), &opts)
+                run_watch(std::io::BufReader::new(file), &mut stdout, &opts)
             }
         }
         Command::Serve {
@@ -1298,21 +1151,19 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
                         .into(),
                 );
             }
-            let span = if window == "sliding" {
-                every
-                    .checked_mul(SLIDING_STEPS)
-                    .ok_or_else(|| format!("--every {every} overflows the sliding span"))?
-            } else {
-                every
-            };
-            let analyses = analyze_batch(n, k, eps, span as usize, &runs)?;
-            let mut builder = Engine::builder(n).seed(seed).shards(shards).analyses(analyses);
-            builder = if window == "sliding" {
-                builder.sliding(span, every)
-            } else {
-                builder.tumbling(span)
-            };
-            let engine = builder.build().map_err(fmt_err)?;
+            let engine = keyed_engine(&WatchOptions {
+                k,
+                eps,
+                n,
+                seed,
+                every,
+                sliding: window == "sliding",
+                runs,
+                json: true,
+                key_field: Some(key_field),
+                shards,
+                fleet: false,
+            })?;
             let cfg = khist_serve::ServerConfig {
                 socket: socket.map(std::path::PathBuf::from),
                 control: control.map(std::path::PathBuf::from),
@@ -1323,8 +1174,7 @@ pub fn dispatch(cmd: Command) -> Result<String, String> {
                 conn_buffer,
                 global_budget: budget,
             };
-            let stdout = std::io::stdout();
-            let summary = khist_serve::run(engine, cfg, &mut stdout.lock())?;
+            let summary = khist_serve::run(engine, cfg, &mut std::io::stdout().lock())?;
             // Stdout is the JSONL window feed; the human summary goes to
             // stderr so the feed stays machine-parseable.
             eprintln!(
@@ -1654,7 +1504,7 @@ mod tests {
         assert!(err.contains("line 2") && err.contains("foo"), "{err}");
         let mut out = Vec::new();
         let err = run_watch("1\n99\n".as_bytes(), &mut out, &opts).unwrap_err();
-        assert!(err.contains("record 99"), "{err}");
+        assert!(err.contains("line 2") && err.contains("record 99"), "{err}");
     }
 
     #[test]
@@ -1853,6 +1703,9 @@ mod tests {
         let mut out = Vec::new();
         let err = run_watch("api foo\n".as_bytes(), &mut out, &opts).unwrap_err();
         assert!(err.contains("line 1") && err.contains("foo"), "{err}");
+        let mut out = Vec::new();
+        let err = run_watch("api 3\n\nweb 64\n".as_bytes(), &mut out, &opts).unwrap_err();
+        assert!(err.contains("line 3") && err.contains("record 64"), "{err}");
         // --key-field 1 swaps the roles: "value key" lines.
         let mut opts = keyed_opts(1, false);
         opts.key_field = Some(1);
@@ -1953,30 +1806,21 @@ mod tests {
     }
 
     #[test]
-    fn split_for_learner_round_robins() {
-        let samples: Vec<usize> = (0..10).collect();
-        let (main, sets) = split_for_learner(&samples, 2);
-        assert_eq!(main.total(), 4); // indices 0,3,6,9
-        assert_eq!(sets.len(), 2);
-        assert_eq!(sets[0].total(), 3);
-        assert_eq!(sets[1].total(), 3);
-        let total: u64 = main.total() + sets.iter().map(|s| s.total()).sum::<u64>();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
     fn end_to_end_learn_from_text() {
         // Synthesize a 2-histogram data file and learn it back.
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let p = khist_dist::generators::two_level(64, 0.25, 0.75).unwrap();
-        let samples = p.sample_many(30_000, &mut rng);
-        let text: String = samples
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = parse_samples_text(&text).unwrap();
-        let report = run_learn(&parsed, 2, 0.15, 64).unwrap();
+        let path = temp_file(&p.sample_many(30_000, &mut rng), "e2e-learn");
+        let report = dispatch(Command::Learn {
+            path: path.clone(),
+            k: 2,
+            eps: 0.15,
+            n: 64,
+            seed: 0,
+            json: false,
+        })
+        .unwrap();
+        std::fs::remove_file(&path).ok();
         assert!(report.contains("2-piece"), "report: {report}");
         // the heavy/light boundary at 16 should appear within a few slots
         let found = (14..=18)
@@ -1987,14 +1831,26 @@ mod tests {
     #[test]
     fn end_to_end_test_verdicts() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(10);
+        let test = |p: khist_dist::DenseDistribution, k: usize, eps: f64, rng: &mut _| {
+            let path = temp_file(&p.sample_many(100_000, rng), "e2e-test");
+            let verdict = dispatch(Command::Test {
+                path: path.clone(),
+                k,
+                eps,
+                n: 64,
+                norm: "l2".into(),
+                seed: 0,
+                json: false,
+            });
+            std::fs::remove_file(&path).ok();
+            verdict.unwrap()
+        };
         let flat = khist_dist::generators::staircase(64, 4).unwrap();
-        let samples = flat.sample_many(100_000, &mut rng);
-        let verdict = run_test(&samples, 4, 0.25, 64, "l2").unwrap();
+        let verdict = test(flat, 4, 0.25, &mut rng);
         assert!(verdict.contains("Accept"), "{verdict}");
 
         let spiky = khist_dist::generators::spike_comb(64, 8).unwrap();
-        let samples = spiky.sample_many(100_000, &mut rng);
-        let verdict = run_test(&samples, 2, 0.2, 64, "l2").unwrap();
+        let verdict = test(spiky, 2, 0.2, &mut rng);
         assert!(verdict.contains("Reject"), "{verdict}");
     }
 
@@ -2100,6 +1956,55 @@ mod tests {
     }
 
     #[test]
+    fn one_analysis_commands_match_analyze() {
+        // `learn` and `test` are one-analysis `analyze` runs: the same file,
+        // seed and sizing give the same report (`Report`'s equality ignores
+        // wall time).
+        use serde::Deserialize;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+        let p = khist_dist::generators::two_level(64, 0.25, 0.75).unwrap();
+        let path = temp_file(&p.sample_many(20_000, &mut rng), "equiv");
+        let analyze = |run: &str| -> Report {
+            let json = dispatch(Command::Analyze {
+                path: path.clone(),
+                k: 2,
+                eps: 0.2,
+                n: 64,
+                seed: 4,
+                json: true,
+                runs: strings(&[run]),
+            })
+            .unwrap();
+            let value = serde::json::from_str(json.trim()).expect("valid JSON");
+            Report::deserialize(&value.as_seq().expect("JSON array")[0]).unwrap()
+        };
+        let learn = dispatch(Command::Learn {
+            path: path.clone(),
+            k: 2,
+            eps: 0.2,
+            n: 64,
+            seed: 4,
+            json: true,
+        })
+        .unwrap();
+        assert_eq!(Report::from_json(learn.trim()).unwrap(), analyze("learn"));
+        for norm in ["l2", "l1"] {
+            let test = dispatch(Command::Test {
+                path: path.clone(),
+                k: 2,
+                eps: 0.2,
+                n: 64,
+                norm: norm.into(),
+                seed: 4,
+                json: true,
+            })
+            .unwrap();
+            assert_eq!(Report::from_json(test.trim()).unwrap(), analyze(norm), "{norm}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn analyze_on_oracle_is_one_pass() {
         // The shared-plan guarantee at the app layer: a whole batch costs
         // the streaming backend exactly one pass after open's scan.
@@ -2191,7 +2096,17 @@ mod tests {
     fn random_learner_cli_smoke() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let samples: Vec<usize> = (0..5000).map(|_| rng.random_range(0..32)).collect();
-        let report = run_learn(&samples, 3, 0.2, 0).unwrap();
-        assert!(report.contains("histogram over [0, 32)"));
+        let path = temp_file(&samples, "random-learn");
+        let report = dispatch(Command::Learn {
+            path: path.clone(),
+            k: 3,
+            eps: 0.2,
+            n: 0,
+            seed: 0,
+            json: false,
+        })
+        .unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(report.contains("histogram over [0, 32)"), "{report}");
     }
 }

@@ -9,32 +9,43 @@
 //! khist summarize records.txt
 //! ```
 //!
-//! `learn`/`test`/`analyze` stream the file through a `RecordFileOracle`
-//! (constant memory in the file length); `--seed` fixes the reservoir
-//! subsample so runs are reproducible. `analyze` serves its whole batch
-//! from ONE shared sample draw — a single pass over the file — and
-//! `--json` emits the structured serde `Report`(s). `watch` is the
-//! push-based dual: it ingests an unbounded stream (`-` = stdin) into a
-//! windowed `Monitor` and emits a report — the analysis batch plus an
-//! `ℓ₂` drift check against the previous window — every `--every`
+//! `learn`, `test` and `analyze` share one front end: the file streams
+//! through a `RecordFileOracle` (constant memory in the file length) and
+//! the whole batch runs from ONE shared sample draw, a single pass over the
+//! file; `learn` and `test` are one-analysis batches with their own human
+//! rendering. `--seed` fixes the reservoir subsample so runs are
+//! reproducible, and `--json` emits the structured serde `Report`(s).
+//! `watch` is the push-based dual: it ingests an unbounded stream (`-` =
+//! stdin) into a windowed `Monitor` and emits a report — the analysis batch
+//! plus an `ℓ₂` drift check against the previous window — every `--every`
 //! records, in bounded memory. `serve` runs keyed watch as a long-lived
 //! process: a single-threaded reactor multiplexes Unix-socket and stdin
 //! producers into the sharded engine and serves `STATS` snapshot/ledger
 //! queries on a control socket, with per-window JSONL on stdout. All
 //! logic lives (and is tested) in [`khist::app`] and `khist_serve`.
+//!
+//! A bad command line prints the error and the usage text; an error while
+//! running (a missing file, a bad record) prints only the error.
 
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match khist::app::parse_args(&args).and_then(khist::app::dispatch) {
+    let cmd = match khist::app::parse_args(&args) {
+        Ok(cmd) => cmd,
+        Err(message) => {
+            eprintln!("error: {message}");
+            eprintln!("{}", khist::app::usage());
+            return ExitCode::FAILURE;
+        }
+    };
+    match khist::app::dispatch(cmd) {
         Ok(report) => {
             print!("{report}");
             ExitCode::SUCCESS
         }
         Err(message) => {
             eprintln!("error: {message}");
-            eprintln!("{}", khist::app::usage());
             ExitCode::FAILURE
         }
     }

@@ -2,7 +2,7 @@
 //! sockets, concurrent producers, a live control plane, and the
 //! serve ≡ watch bit-identity contract.
 //!
-//! Two scenarios:
+//! Four scenarios:
 //!
 //! 1. **Throughput + identity** — two concurrent writers push 50 000
 //!    keyed records over one data socket (disjoint key sets, so each
@@ -21,6 +21,8 @@
 //!    the final poll is byte-identical to `khist watch --fleet`'s
 //!    closing rollup over the same records; stdout never carries a
 //!    fleet line.
+//! 4. **CLI errors** — only a bad command line prints the usage text; a
+//!    runtime error (here a missing input file) prints just the error.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -424,4 +426,22 @@ fn bad_lines_and_disconnects_poison_only_their_own_connection() {
     assert_eq!(drop_windows[1].seen, 50, "records up to the disconnect kept");
     assert_eq!(of("evil").len(), 1, "the record before the garbage survives");
     assert_eq!(of("evil")[0].seen, 1);
+}
+
+#[test]
+fn usage_text_follows_only_command_line_errors() {
+    let stderr_of = |args: &[&str]| -> String {
+        let out = Command::new(env!("CARGO_BIN_EXE_khist"))
+            .args(args)
+            .output()
+            .expect("khist runs");
+        assert!(!out.status.success(), "{args:?} should fail");
+        String::from_utf8(out.stderr).unwrap()
+    };
+    let missing = stderr_of(&["learn", "/nonexistent/khist-records.txt"]);
+    assert!(missing.contains("/nonexistent/khist-records.txt"), "{missing}");
+    assert!(!missing.contains("usage:"), "runtime error printed usage: {missing}");
+    let unknown = stderr_of(&["learn", "records.txt", "--bogus"]);
+    assert!(unknown.contains("unknown flag --bogus"), "{unknown}");
+    assert!(unknown.contains("usage:"), "command-line error lost its usage: {unknown}");
 }
