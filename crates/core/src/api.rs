@@ -14,7 +14,7 @@
 //!                               ▼
 //!                     Session::run(&[…])           (one engine)
 //!                               │
-//!                        SamplePlan::for_batch     (max over requirements)
+//!                        plan_for → SamplePlan     (max over requirements)
 //!                               │  one draw_batch / draw_sets / draw_set
 //!                               ▼
 //!                      trait SampleOracle          (khist-oracle)
@@ -49,8 +49,8 @@
 //! without a single new draw. For *many* keyed streams at once, the
 //! [`Engine`] (re-exported from [`crate::engine`]) hashes stream keys
 //! onto a pool of shared-nothing worker shards, each owning the
-//! per-stream [`MonitorState`]s for its keys — bit-identical per stream
-//! to a dedicated `Monitor`, for any shard count.
+//! per-stream `Monitor`s for its keys — bit-identical per stream to a
+//! dedicated `Monitor`, for any shard count.
 //!
 //! # Example
 //!
@@ -84,7 +84,7 @@ use khist_oracle::{
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 pub use crate::engine::{Engine, EngineBuilder};
-pub use crate::monitor::{Monitor, MonitorBuilder, MonitorState, WindowReport};
+pub use crate::monitor::{Monitor, MonitorBuilder, WindowReport};
 pub use khist_fleet::{FleetReport, FleetSummary, TopStream};
 
 use crate::compress::compress_to_k;
@@ -644,7 +644,7 @@ impl Report {
 
 /// The workspace's single wall-clock door (enforced by khist-lint's
 /// `wall-clock` rule): runs `f` and returns its result plus elapsed wall
-/// seconds. Replayable state (`MonitorState` and everything under it)
+/// seconds. Replayable state (`Monitor` and everything under it)
 /// calls this instead of touching `Instant` directly, so "what observed
 /// time" stays answerable by reading one file.
 pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {

@@ -1,7 +1,7 @@
 //! The keyed multi-stream ingest path: an [`Engine`] over a shared-nothing
-//! pool of [`MonitorState`] shards.
+//! pool of [`Monitor`] shards.
 //!
-//! A single [`Monitor`](crate::monitor::Monitor) watches one stream on one
+//! A single [`Monitor`] watches one stream on one
 //! core. Real deployments watch *many* keyed streams at once — per-tenant,
 //! per-shard, per-endpoint latency histograms — and the per-window workload
 //! (the standing batch plus the Diakonikolas–Kane–Nikishkin-style `ℓ₂`
@@ -30,9 +30,9 @@
 //!   │ │state│ │  │ └─────┘ │       │ │state│ │   route chunks travel by
 //!   │ └─────┘ │  └─────────┘       │ └─────┘ │   value through a bounded
 //!   └─────────┘                    └─────────┘   two-deep mailbox ring
-//!        │              │               │        state = MonitorState of
-//!        └──────────────┴───────────────┘        one stream key (a slab
-//!                       ▼                        slot in debut order)
+//!        │              │               │        state = Monitor of one
+//!        └──────────────┴───────────────┘        stream key (a slab slot
+//!                       ▼                        in debut order)
 //!     Vec<WindowReport> tagged by stream, sorted by (stream, window)
 //! ```
 //!
@@ -70,13 +70,12 @@
 //!
 //! # Sharding is semantics-free
 //!
-//! Each stream key `k` gets its own [`MonitorState`] seeded with
+//! Each stream key `k` gets its own [`Monitor`] seeded with
 //! [`Engine::stream_seed`]`(base_seed, k)` — a SplitMix64 stream derived
 //! from the engine's base seed and a deterministic (FNV-1a) hash of the
-//! key. A state depends on nothing but its own records and seed, and
+//! key. A monitor depends on nothing but its own records and seed, and
 //! shards share nothing, so for every stream the engine's reports are
-//! **bit-identical** to a dedicated single-threaded
-//! [`Monitor`](crate::monitor::Monitor) built with
+//! **bit-identical** to a dedicated single-threaded monitor built with
 //! `Monitor::builder(n).seed(Engine::stream_seed(base, key)).stream(key)`
 //! and fed that stream's records — for *any* shard count, any batch
 //! boundaries, and any interleaving with other streams. The push≡pull
@@ -87,7 +86,7 @@
 //! Routing rides a consistent-hash **virtual-node ring** (64 mixed
 //! FNV-1a points per shard) instead of `hash mod N`, so
 //! [`Engine::resize`] can grow or shrink a *live* pool migrating only
-//! ~1/(N+1) of streams — each migrated stream's state machine moves
+//! ~1/(N+1) of streams — each migrated stream's monitor moves
 //! between shard slabs untouched, keeping its reports bit-identical
 //! across any resize history (`tests/engine_ring.rs`).
 //!
@@ -143,7 +142,7 @@ use khist_fleet::{FleetReport, FleetSummary, WindowObservation};
 use khist_oracle::{stream_seed, SinkShape, Window};
 
 use crate::api::{Analysis, LedgerEntry, Report, SamplePlan};
-use crate::monitor::{resolve_config, MonitorState, WindowReport};
+use crate::monitor::{resolve_config, Monitor, WindowReport};
 
 /// One shard's answer to a batch: everything that succeeded, plus every
 /// per-stream failure. Streams are independent state machines, so one
@@ -271,24 +270,6 @@ impl Ring {
     }
 }
 
-/// Folds freshly drained [`LedgerEntry`]s into a stream's retained
-/// per-label totals. The retained ledger answers "what has this stream
-/// cost so far" (`Engine::ledger`) in bounded memory: one entry per label
-/// (`"draw"` plus each standing-analysis name), with samples and seconds
-/// accumulated across the stream's whole life — it never grows with the
-/// number of windows, so a long-running server holds it indefinitely.
-fn absorb_ledger(totals: &mut Vec<LedgerEntry>, drained: Vec<LedgerEntry>) {
-    for entry in drained {
-        match totals.iter_mut().find(|t| t.label == entry.label) {
-            Some(t) => {
-                t.samples += entry.samples;
-                t.seconds += entry.seconds;
-            }
-            None => totals.push(entry),
-        }
-    }
-}
-
 /// Everything the shards share, read-only: one validated configuration
 /// stamped out per stream key. Wrapped in an `Arc` so the persistent
 /// workers hold it without borrowing the engine.
@@ -301,10 +282,10 @@ struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Stamps out the state machine for a new stream key — cheap: the
-    /// shape and batch were validated once at [`EngineBuilder::build`].
-    fn new_state(&self, key: &str) -> MonitorState {
-        MonitorState::from_parts(
+    /// Stamps out the monitor for a new stream key — cheap: the shape
+    /// and batch were validated once at [`EngineBuilder::build`].
+    fn new_monitor(&self, key: &str) -> Monitor {
+        Monitor::from_parts(
             &self.shape,
             Engine::stream_seed(self.seed, key),
             Arc::clone(&self.analyses),
@@ -522,10 +503,7 @@ fn bucket_records(chunk: &mut RouteChunk, interner: &Interner) {
 /// One stream owned by a shard.
 struct StreamSlot {
     key: String,
-    state: MonitorState,
-    /// Retained per-label ledger totals (see [`absorb_ledger`]) — the
-    /// stream's lifetime cost, served by [`Engine::ledger`].
-    ledger: Vec<LedgerEntry>,
+    monitor: Monitor,
     /// The stream's global debut index (engine interner id) — the fleet
     /// rollup's stream key, stable across live resizes.
     debut: u32,
@@ -536,20 +514,15 @@ struct StreamSlot {
 
 impl StreamSlot {
     /// The one per-stream step behind every ingest and flush: run `op` on
-    /// the stream's state, fold the ledger entries it produced into the
-    /// retained totals (served by [`Engine::ledger`]), digest the windows
-    /// it completed into the shard's fleet partial, and file its result in
-    /// `outcome`. Windows are the only producers of ledger entries, so a
-    /// warm step drains an empty vector — no allocation.
+    /// the stream's monitor, digest the windows it completed into the
+    /// shard's fleet partial, and file its result in `outcome`.
     fn step(
         &mut self,
         fleet: &mut FleetSummary,
         outcome: &mut ShardOutcome,
-        op: impl FnOnce(&mut MonitorState) -> Result<Vec<WindowReport>, DistError>,
+        op: impl FnOnce(&mut Monitor) -> Result<Vec<WindowReport>, DistError>,
     ) {
-        let result = op(&mut self.state);
-        absorb_ledger(&mut self.ledger, self.state.drain_ledger());
-        match result {
+        match op(&mut self.monitor) {
             Ok(reports) => {
                 observe_windows(fleet, self, &reports);
                 outcome.reports.extend(reports);
@@ -719,7 +692,7 @@ impl Shard {
             let slot = &mut self.slots[slot_idx as usize];
             // lint:allow(checked-indexing): span extents tile the grouped buffer
             let group = &self.grouped[start..end];
-            slot.step(&mut self.fleet, &mut outcome, |state| state.ingest(group));
+            slot.step(&mut self.fleet, &mut outcome, |monitor| monitor.ingest(group));
         }
         self.touched.clear();
         self.spans.clear();
@@ -731,25 +704,22 @@ impl Shard {
     fn flush(&mut self) -> ShardOutcome {
         let mut outcome = ShardOutcome::default();
         for slot in &mut self.slots {
-            slot.step(&mut self.fleet, &mut outcome, MonitorState::flush);
+            slot.step(&mut self.fleet, &mut outcome, Monitor::flush);
         }
         outcome
     }
 
     /// Answers an on-demand sub-batch from one stream's *current*
     /// (possibly partial) window — the control-plane half of the shard
-    /// protocol, behind [`Engine::snapshot`]. The ledger spend the
-    /// snapshot incurs is folded into the slot's retained totals like any
-    /// window's.
+    /// protocol, behind [`Engine::snapshot`]. The monitor folds the
+    /// snapshot's spend into its ledger totals like any window's.
     fn snapshot(&mut self, slot: u32, analyses: &[Analysis]) -> Result<Vec<Report>, DistError> {
         let Some(slot) = self.slots.get_mut(slot as usize) else {
             return Err(DistError::BadParameter {
                 reason: "snapshot routed to a slot this shard does not own".into(),
             });
         };
-        let result = slot.state.snapshot(analyses);
-        absorb_ledger(&mut slot.ledger, slot.state.drain_ledger());
-        result
+        slot.monitor.snapshot(analyses)
     }
 }
 
@@ -969,7 +939,7 @@ impl EngineBuilder {
     }
 }
 
-/// A keyed multi-stream ingest engine: [`Monitor`](crate::monitor::Monitor)
+/// A keyed multi-stream ingest engine: [`Monitor`]
 /// semantics per stream key, scaled across a shared-nothing pool of worker
 /// shards. See the [module docs](self) for the architecture, the
 /// allocation-free batch pipeline, and the sharding-is-semantics-free
@@ -1046,7 +1016,7 @@ impl Engine {
 
     /// The seed stream `key` samples with under base seed `base`: the
     /// SplitMix64 stream of the key's deterministic FNV-1a hash. A
-    /// dedicated [`Monitor`](crate::monitor::Monitor) seeded with this
+    /// dedicated [`Monitor`] seeded with this
     /// value (and tagged via
     /// [`MonitorBuilder::stream`](crate::monitor::MonitorBuilder::stream))
     /// reproduces the engine's reports for that stream bit for bit.
@@ -1087,7 +1057,7 @@ impl Engine {
                     .shards
                     .get(e.shard as usize)
                     .and_then(|s| s.slots.get(e.slot as usize))
-                    .map_or(0, |s| s.state.seen());
+                    .map_or(0, |s| s.monitor.seen());
                 (e.key.as_str(), seen)
             })
             .collect()
@@ -1104,12 +1074,12 @@ impl Engine {
 
     /// Total records ingested across all streams.
     pub fn seen(&self) -> u64 {
-        self.states().map(|s| s.seen()).sum()
+        self.monitors().map(|s| s.seen()).sum()
     }
 
     /// Total completed windows reported across all streams.
     pub fn windows(&self) -> u64 {
-        self.states().map(|s| s.windows()).sum()
+        self.monitors().map(|s| s.windows()).sum()
     }
 
     /// The shared plan shaping every stream's lanes.
@@ -1127,10 +1097,10 @@ impl Engine {
         &self.cfg.analyses
     }
 
-    /// Read access to one stream's state machine (e.g. to check `seen` or
-    /// probe [`drift`](MonitorState::drift) for a single tenant).
-    pub fn stream_state(&self, key: &str) -> Option<&MonitorState> {
-        self.slot(key).map(|s| &s.state)
+    /// Read access to one stream's monitor (e.g. to check `seen` or
+    /// probe [`drift`](Monitor::drift) for a single tenant).
+    pub fn stream_state(&self, key: &str) -> Option<&Monitor> {
+        self.slot(key).map(|s| &s.monitor)
     }
 
     /// The shard index `key` routes to on the consistent-hash ring. Pure
@@ -1173,8 +1143,7 @@ impl Engine {
         let debut = self.interner.entries.len() as u32;
         shard.slots.push(StreamSlot {
             key: key.to_string(),
-            state: self.cfg.new_state(&key),
-            ledger: Vec::new(),
+            monitor: self.cfg.new_monitor(&key),
             debut,
             alarmed: false,
         });
@@ -1215,7 +1184,7 @@ impl Engine {
     /// hashing: growing N→N+1 moves ~1/(N+1) of live streams (bounded at
     /// 2/(N+1), property-tested in `tests/engine_ring.rs`) instead of the
     /// (N-1)/N a `hash mod N` re-key would. Migration moves each stream's
-    /// [`MonitorState`] between shard slabs without touching its contents,
+    /// [`Monitor`] between shard slabs without touching its contents,
     /// so per-stream reports are bit-identical across any resize history.
     /// The worker pool is respawned for the new count (old workers park,
     /// join, and drop first). Returns how many streams moved.
@@ -1318,7 +1287,7 @@ impl Engine {
     /// Bounded memory: one entry per label, however long the stream runs.
     /// `None` for keys the engine has never seen.
     pub fn ledger(&self, key: &str) -> Option<&[LedgerEntry]> {
-        self.slot(key).map(|s| s.ledger.as_slice())
+        self.slot(key).map(|s| s.monitor.ledger())
     }
 
     /// Ingests records for a single stream in arrival order, reporting the
@@ -1377,7 +1346,7 @@ impl Engine {
     ///
     /// Streams fail *independently*: a record outside `[0, n)` (or a
     /// failing standing analysis) stops only its own stream — exactly
-    /// what would happen to a dedicated [`Monitor`](crate::monitor::Monitor)
+    /// what would happen to a dedicated [`Monitor`]
     /// on that stream — while every other stream ingests its full slice.
     /// When any stream failed, the call returns the error of the
     /// lexicographically smallest failing key (a deterministic choice for
@@ -1675,10 +1644,10 @@ impl Engine {
         });
     }
 
-    fn states(&self) -> impl Iterator<Item = &MonitorState> {
+    fn monitors(&self) -> impl Iterator<Item = &Monitor> {
         self.shards
             .iter()
-            .flat_map(|s| s.slots.iter().map(|slot| &slot.state))
+            .flat_map(|s| s.slots.iter().map(|slot| &slot.monitor))
     }
 }
 

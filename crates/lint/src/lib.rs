@@ -6,7 +6,7 @@
 //! bit-identical per stream to a dedicated `Monitor`, a pushed window
 //! replays bit-identically pull-side, and a `Session` batch costs one
 //! file pass. All three die quietly the day someone iterates a
-//! `RandomState` map into output, reads the clock inside `MonitorState`,
+//! `RandomState` map into output, reads the clock inside `Monitor`,
 //! or derives a seed outside `stream_seed`/`window_seed`. This crate
 //! moves those failures to lint time.
 //!

@@ -8,11 +8,12 @@
 //!   alias table, parallel batched draws), [`RecordFileOracle`] (one-pass
 //!   streaming over line-oriented record files via reservoir splitting)
 //!   and [`ReplayOracle`] (pre-drawn buffers for deterministic replay);
-//! * [`SampleSink`] — the *push*-side mirror for live streams:
-//!   [`WindowedSink`] routes pushed records into plan-shaped reservoir
-//!   lanes behind tumbling/sliding [`Window`]s, bit-identical (tumbling
-//!   window 0) to replaying the same records through [`RecordFileOracle`];
-//!   frozen [`WindowSnapshot`]s feed the algorithms via [`ReplayOracle`];
+//! * [`WindowedSink`] — the *push*-side mirror for live streams: built
+//!   from a validated [`SinkShape`], it routes pushed records into
+//!   plan-shaped reservoir lanes behind tumbling/sliding [`Window`]s,
+//!   bit-identical (tumbling window 0) to replaying the same records
+//!   through [`RecordFileOracle`]; frozen [`WindowSnapshot`]s feed the
+//!   algorithms via [`ReplayOracle`];
 //! * [`SampleSet`] — a compressed sorted multiset of samples supporting the
 //!   two queries every algorithm in the paper performs per interval `I`:
 //!   the hit count `|S_I|` and the collision count
@@ -41,12 +42,10 @@ pub mod sink;
 pub use budget::{Budget, L1TesterBudget, L2TesterBudget, LearnerBudget};
 pub use collision::{absolute_collision_estimate, conditional_collision_estimate, MedianBooster};
 pub use empirical::empirical_distribution;
-pub use oracle::{
-    stream_seed, DenseOracle, LaneRouter, RecordFileOracle, ReplayOracle, SampleOracle,
-};
+pub use oracle::{stream_seed, DenseOracle, RecordFileOracle, ReplayOracle, SampleOracle};
 pub use reservoir::Reservoir;
 pub use sample_set::{choose2, SampleSet};
-pub use sink::{window_seed, SampleSink, SinkShape, Window, WindowSnapshot, WindowedSink};
+pub use sink::{window_seed, SinkShape, Window, WindowSnapshot, WindowedSink};
 
 #[cfg(test)]
 pub(crate) mod test_util {

@@ -104,11 +104,10 @@ const PARALLEL_DRAW_THRESHOLD: usize = 1 << 13;
 /// (re-streamed from a file) or *pushed* (ingested as they arrive) — this
 /// enum is the single implementation both paths use, so push≡pull
 /// bit-identity holds by construction rather than by parallel maintenance
-/// of two copies of the logic. It is public so higher layers that own
-/// many streams at once (one router per stream, reused across windows)
-/// can route with exactly the same rules as the built-in backends.
+/// of two copies of the logic. Crate-private: higher layers push records
+/// through a [`WindowedSink`](crate::WindowedSink), never route them.
 #[derive(Debug, Clone)]
-pub enum LaneRouter {
+pub(crate) enum LaneRouter {
     /// Every record to lane 0 (the shape of a lone `draw_set`).
     Single,
     /// Record `t` to lane `t mod lanes` (the shape of `draw_sets`:

@@ -1,4 +1,4 @@
-//! Push-based sample ingestion: [`SampleSink`] and [`WindowedSink`].
+//! Push-based sample ingestion: [`WindowedSink`].
 //!
 //! The pull-side seam ([`SampleOracle`](crate::SampleOracle)) assumes the
 //! caller can *draw* whenever an algorithm needs samples. A process that
@@ -15,20 +15,22 @@
 //! ```
 //!
 //! A [`WindowedSink`] is configured with the *lane shape* of a
-//! [`SamplePlan`](https://docs.rs)-style draw (`main`, `r`, `m` — see
-//! [`WindowedSink::new`]) and routes every pushed record to a fixed-size
-//! [`Reservoir`] lane using the **same** `LaneRouter` and SplitMix64 seed
-//! streams as [`RecordFileOracle`](crate::RecordFileOracle). Consequence:
-//! pushing a record stream into window 0 of a sink seeded with `s` leaves
-//! the lanes **bit-identical** to writing the same records to a file and
-//! drawing the same plan through `RecordFileOracle::open(path, n, s)` —
-//! push and pull are two transports for one sampling process (property-
-//! tested in `tests/monitor_push_pull.rs` at the workspace root).
+//! `SamplePlan`-style draw (`main`, `r`, `m` — see [`SinkShape::new`];
+//! `SamplePlan` lives in `khist-core`) and routes every pushed record to a
+//! fixed-size [`Reservoir`] lane using the **same** `LaneRouter` and
+//! SplitMix64 seed streams as [`RecordFileOracle`](crate::RecordFileOracle).
+//! Consequence: pushing a record stream into window 0 of a sink seeded
+//! with `s` leaves the lanes **bit-identical** to writing the same records
+//! to a file and drawing the same plan through
+//! `RecordFileOracle::open(path, n, s)` — push and pull are two transports
+//! for one sampling process (property-tested in
+//! `tests/monitor_push_pull.rs` at the workspace root).
 //!
 //! Two window policies:
 //!
 //! * [`Window::Tumbling`] — consecutive disjoint spans; each completed
-//!   window freezes its lanes exactly (no resampling), so the bit-identity
+//!   window freezes its one pane's lanes exactly (no resampling, no merge
+//!   stream), so the bit-identity
 //!   above holds per window (window `w > 0` uses the derived seed
 //!   [`window_seed`]`(s, w)`).
 //! * [`Window::Sliding`] — a span split into `span / step` *panes*; a
@@ -40,6 +42,7 @@
 //! Memory is `O(lane sizes × panes)` — the sample budget — regardless of
 //! how many records stream through.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -48,7 +51,7 @@ use rand::SeedableRng;
 
 use khist_dist::DistError;
 
-use crate::oracle::{stream_seed, LaneRouter, ReplayOracle};
+use crate::oracle::{stream_seed, LaneRouter};
 use crate::reservoir::Reservoir;
 use crate::sample_set::SampleSet;
 
@@ -135,14 +138,6 @@ pub struct WindowSnapshot {
 }
 
 impl WindowSnapshot {
-    /// Wraps the frozen lanes in a [`ReplayOracle`] so the ordinary
-    /// analysis engine can consume them — every draw is served from the
-    /// window, and a draw beyond it panics instead of silently sampling
-    /// fresh data.
-    pub fn replay(&self) -> ReplayOracle {
-        ReplayOracle::from_sets(self.n, self.lanes.clone())
-    }
-
     /// The union of all lanes as one multiset — the window's full retained
     /// sample, which drift checks compare across windows.
     pub fn merged(&self) -> SampleSet {
@@ -153,40 +148,10 @@ impl WindowSnapshot {
     }
 }
 
-/// Push-side sample ingestion: the receiving end of a record stream.
-///
-/// Object-safe, like the pull seam — `&mut dyn SampleSink` works wherever
-/// a sink is expected.
-pub trait SampleSink {
-    /// The domain size `n` records must lie in.
-    fn domain_size(&self) -> usize;
-
-    /// Ingests one record. Fails (without consuming the record) when the
-    /// record lies outside `[0, n)`.
-    fn push(&mut self, value: usize) -> Result<(), DistError>;
-
-    /// Ingests a batch of records in order; stops at the first bad record.
-    fn push_all(&mut self, values: &[usize]) -> Result<(), DistError> {
-        for &v in values {
-            self.push(v)?;
-        }
-        Ok(())
-    }
-
-    /// Total records ingested so far.
-    fn seen(&self) -> u64;
-
-    /// Freezes the *current* (possibly partial) window without disturbing
-    /// ingestion.
-    fn snapshot(&self) -> WindowSnapshot;
-}
-
 /// One pane of reservoir lanes: the unit of window rotation.
 #[derive(Debug, Clone)]
 struct Pane {
-    /// Global pane index (drives the seed streams).
-    id: u64,
-    /// Lane-seed base: `window_seed(sink seed, id)`.
+    /// Lane-seed base: `window_seed(sink seed, pane index)`.
     seed: u64,
     /// Global record index of the pane's first record.
     start: u64,
@@ -320,9 +285,9 @@ impl SinkShape {
     }
 }
 
-/// The [`SampleSink`] implementation: plan-shaped reservoir lanes behind
-/// tumbling or sliding windows. See the [module docs](self) for the
-/// push≡pull bit-identity contract.
+/// The push side of a record stream: plan-shaped reservoir lanes behind
+/// tumbling or sliding windows, built by [`SinkShape::sink`]. See the
+/// [module docs](self) for the push≡pull bit-identity contract.
 #[derive(Debug, Clone)]
 pub struct WindowedSink {
     n: usize,
@@ -338,18 +303,9 @@ pub struct WindowedSink {
 }
 
 impl WindowedSink {
-    /// Builds a sink over domain `[0, n)`: sugar for
-    /// [`SinkShape::new`]`(…)?.`[`sink`](SinkShape::sink)`(seed)`. See
-    /// [`SinkShape::new`] for the lane-shape contract and failure modes.
-    pub fn new(
-        n: usize,
-        seed: u64,
-        window: Window,
-        main: usize,
-        r: usize,
-        m: usize,
-    ) -> Result<Self, DistError> {
-        Ok(SinkShape::new(n, window, main, r, m)?.sink(seed))
+    /// The domain size `n` records must lie in.
+    pub fn domain_size(&self) -> usize {
+        self.n
     }
 
     /// The configured window policy.
@@ -408,7 +364,6 @@ impl WindowedSink {
             ),
         };
         Pane {
-            id,
             seed,
             start: self.seen,
             t: 0,
@@ -418,38 +373,30 @@ impl WindowedSink {
         }
     }
 
-    /// Freezes `panes` (oldest first) into one snapshot. A single pane is
-    /// frozen verbatim; multiple panes (sliding windows) are folded
-    /// lane-wise through [`Reservoir::merge`] with a merge stream derived
-    /// from `(seed, id)`.
-    fn freeze<'a>(
-        &self,
-        panes: impl Iterator<Item = &'a Pane>,
-        id: u64,
-        complete: bool,
-    ) -> WindowSnapshot {
-        let panes: Vec<&Pane> = panes.collect();
-        let seed = panes
-            .first()
-            .map_or_else(|| window_seed(self.seed, id), |p| p.seed);
-        let start = panes.first().map_or(self.seen, |p| p.start);
-        let seen: u64 = panes.iter().map(|p| p.t).sum();
+    /// Freezes the live panes (oldest first) into window `id`'s snapshot,
+    /// copying each lane's kept samples once. A single pane — every
+    /// tumbling window — is frozen verbatim and never touches the merge
+    /// stream; several panes (sliding windows) fold lane-wise through
+    /// [`Reservoir::merge`] with a merge stream derived from `(seed, id)`.
+    fn freeze(&self, id: u64, complete: bool) -> WindowSnapshot {
+        let oldest = self.panes.front();
+        let seed = oldest.map_or_else(|| window_seed(self.seed, id), |p| p.seed);
+        let start = oldest.map_or(self.seen, |p| p.start);
+        let seen: u64 = self.panes.iter().map(|p| p.t).sum();
         let mut merge_rng = StdRng::seed_from_u64(stream_seed(self.seed ^ MERGE_SALT, id));
         let mut lanes = Vec::with_capacity(self.sizes.len());
         let mut kept = 0;
         for lane in 0..self.sizes.len() {
-            let merged = panes
-                .iter()
-                // lint:allow(checked-indexing): every pane is built with sizes.len() lanes
-                .map(|p| &p.lanes[lane])
-                .fold(None::<Reservoir>, |acc, r| match acc {
-                    None => Some(r.clone()),
-                    Some(a) => Some(a.merge(r, &mut merge_rng)),
-                });
-            let set = merged.map_or_else(
-                || SampleSet::from_samples(Vec::new()),
-                |r| r.to_sample_set(),
-            );
+            // lint:allow(checked-indexing): every pane is built with sizes.len() lanes
+            let mut reservoirs = self.panes.iter().map(|p| &p.lanes[lane]);
+            let set = match reservoirs.next() {
+                None => SampleSet::from_samples(Vec::new()),
+                Some(first) => reservoirs
+                    .fold(Cow::Borrowed(first), |acc, r| {
+                        Cow::Owned(acc.merge(r, &mut merge_rng))
+                    })
+                    .to_sample_set(),
+            };
             kept += set.total();
             lanes.push(set);
         }
@@ -466,85 +413,24 @@ impl WindowedSink {
         }
     }
 
-    /// Freezes one pane *by value* — the tumbling fast path. A tumbling
-    /// window is exactly one retired pane, so its reservoirs move straight
-    /// into the snapshot's sample sets with no clone and no merge stream
-    /// (bit-identical to folding a single pane through [`Self::freeze`],
-    /// which never touches its merge RNG for one pane).
-    fn freeze_single(n: usize, pane: Pane, complete: bool) -> WindowSnapshot {
-        let Pane {
-            id,
-            seed,
-            start,
-            t,
-            lanes,
-            ..
-        } = pane;
-        let mut sets = Vec::with_capacity(lanes.len());
-        let mut kept = 0;
-        for lane in lanes {
-            let set = lane.into_sample_set();
-            kept += set.total();
-            sets.push(set);
-        }
-        WindowSnapshot {
-            window: id,
-            n,
-            start,
-            end: start + t,
-            seen: t,
-            kept,
-            seed,
-            complete,
-            lanes: sets,
-        }
-    }
-
-    /// Handles a pane reaching its span: tumbling windows freeze and drop
-    /// the pane (moving its reservoirs into the snapshot); sliding windows
-    /// freeze the whole deque once it covers a full span, then retire the
-    /// oldest pane.
+    /// Handles a pane reaching its span: once the live panes cover a whole
+    /// window (one pane when tumbling, `span / step` when sliding) they
+    /// freeze into the next completed snapshot and the oldest pane
+    /// retires. Tumbling window `w` is pane `w`, so one counter numbers
+    /// both policies' windows.
     fn complete_pane(&mut self) {
-        match self.window {
-            Window::Tumbling { .. } => {
-                // lint:allow(no-panic): complete_pane is only called right after a pane filled
-                let pane = self.panes.pop_back().expect("a pane just completed");
-                self.next_window_id = pane.id + 1;
-                let snap = Self::freeze_single(self.n, pane, true);
-                self.completed.push_back(snap);
-            }
-            Window::Sliding { .. } => {
-                if self.panes.len() == self.window.panes_per_window() {
-                    let id = self.next_window_id;
-                    self.next_window_id += 1;
-                    let snap = self.freeze(self.panes.iter(), id, true);
-                    self.completed.push_back(snap);
-                    self.panes.pop_front();
-                }
-            }
+        if self.panes.len() == self.window.panes_per_window() {
+            let snap = self.freeze(self.next_window_id, true);
+            self.next_window_id += 1;
+            self.completed.push_back(snap);
+            self.panes.pop_front();
         }
     }
-}
 
-/// Builds the out-of-domain rejection. Kept out of line so the error
-/// formatting (the only allocation `push` could reach) stays off the
-/// record-accepting hot path.
-#[cold]
-fn out_of_domain(value: usize, n: usize) -> DistError {
-    DistError::BadParameter {
-        reason: format!(
-            "record {value} outside declared domain [0, {n}); widen the domain or drop the record"
-        ),
-    }
-}
-
-impl SampleSink for WindowedSink {
-    fn domain_size(&self) -> usize {
-        self.n
-    }
-
+    /// Ingests one record. Fails (without consuming the record) when the
+    /// record lies outside `[0, n)`.
     // lint:hot-path
-    fn push(&mut self, value: usize) -> Result<(), DistError> {
+    pub fn push(&mut self, value: usize) -> Result<(), DistError> {
         if value >= self.n {
             return Err(out_of_domain(value, self.n));
         }
@@ -560,31 +446,50 @@ impl SampleSink for WindowedSink {
         // lint:allow(checked-indexing): lane_of returns an index below the lane count
         pane.lanes[lane].offer(value, &mut pane.rngs[lane]);
         pane.t += 1;
+        let full = pane.t == pane_span;
         self.seen += 1;
-        // lint:allow(no-panic): the pane pushed above is still live
-        if self.panes.back().expect("pane live").t == self.window.pane_span() {
+        if full {
             self.complete_pane();
         }
         Ok(())
     }
 
-    fn seen(&self) -> u64 {
+    /// Ingests a batch of records in order; stops at the first bad record.
+    pub fn push_all(&mut self, values: &[usize]) -> Result<(), DistError> {
+        for &v in values {
+            self.push(v)?;
+        }
+        Ok(())
+    }
+
+    /// Total records ingested so far.
+    pub fn seen(&self) -> u64 {
         self.seen
     }
 
-    fn snapshot(&self) -> WindowSnapshot {
-        let id = match self.window {
-            Window::Tumbling { .. } => self.panes.back().map_or(self.next_pane_id, |p| p.id),
-            Window::Sliding { .. } => self.next_window_id,
-        };
-        self.freeze(self.panes.iter(), id, false)
+    /// Freezes the *current* (possibly partial) window without disturbing
+    /// ingestion.
+    pub fn snapshot(&self) -> WindowSnapshot {
+        self.freeze(self.next_window_id, false)
+    }
+}
+
+/// Builds the out-of-domain rejection. Kept out of line so the error
+/// formatting (the only allocation `push` could reach) stays off the
+/// record-accepting hot path.
+#[cold]
+fn out_of_domain(value: usize, n: usize) -> DistError {
+    DistError::BadParameter {
+        reason: format!(
+            "record {value} outside declared domain [0, {n}); widen the domain or drop the record"
+        ),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{RecordFileOracle, SampleOracle};
+    use crate::oracle::{RecordFileOracle, ReplayOracle, SampleOracle};
     use crate::test_util::temp_records;
 
     fn stream(len: usize, n: usize) -> Vec<usize> {
@@ -593,17 +498,19 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_configurations() {
-        assert!(WindowedSink::new(0, 1, Window::Tumbling { span: 10 }, 5, 0, 0).is_err());
-        assert!(WindowedSink::new(8, 1, Window::Tumbling { span: 0 }, 5, 0, 0).is_err());
-        assert!(WindowedSink::new(8, 1, Window::Sliding { span: 10, step: 3 }, 5, 0, 0).is_err());
-        assert!(WindowedSink::new(8, 1, Window::Sliding { span: 10, step: 0 }, 5, 0, 0).is_err());
-        assert!(WindowedSink::new(8, 1, Window::Tumbling { span: 10 }, 0, 0, 0).is_err());
-        assert!(WindowedSink::new(8, 1, Window::Tumbling { span: 10 }, 0, 3, 0).is_err());
+        assert!(SinkShape::new(0, Window::Tumbling { span: 10 }, 5, 0, 0).is_err());
+        assert!(SinkShape::new(8, Window::Tumbling { span: 0 }, 5, 0, 0).is_err());
+        assert!(SinkShape::new(8, Window::Sliding { span: 10, step: 3 }, 5, 0, 0).is_err());
+        assert!(SinkShape::new(8, Window::Sliding { span: 10, step: 0 }, 5, 0, 0).is_err());
+        assert!(SinkShape::new(8, Window::Tumbling { span: 10 }, 0, 0, 0).is_err());
+        assert!(SinkShape::new(8, Window::Tumbling { span: 10 }, 0, 3, 0).is_err());
     }
 
     #[test]
     fn rejects_out_of_domain_records() {
-        let mut sink = WindowedSink::new(8, 1, Window::Tumbling { span: 10 }, 5, 0, 0).unwrap();
+        let mut sink = SinkShape::new(8, Window::Tumbling { span: 10 }, 5, 0, 0)
+            .unwrap()
+            .sink(1);
         assert!(sink.push(7).is_ok());
         let err = sink.push(8).unwrap_err().to_string();
         assert!(err.contains("record 8") && err.contains("[0, 8)"), "{err}");
@@ -612,7 +519,9 @@ mod tests {
 
     #[test]
     fn tumbling_windows_rotate_at_span() {
-        let mut sink = WindowedSink::new(16, 3, Window::Tumbling { span: 100 }, 20, 0, 0).unwrap();
+        let mut sink = SinkShape::new(16, Window::Tumbling { span: 100 }, 20, 0, 0)
+            .unwrap()
+            .sink(3);
         sink.push_all(&stream(250, 16)).unwrap();
         let done = sink.drain_completed();
         assert_eq!(done.len(), 2);
@@ -633,8 +542,9 @@ mod tests {
     fn single_lane_window_matches_record_file_draw_set() {
         // Push≡pull, draw_set shape: one lane of `main`.
         let records = stream(500, 32);
-        let mut sink =
-            WindowedSink::new(32, 11, Window::Tumbling { span: 500 }, 60, 0, 0).unwrap();
+        let mut sink = SinkShape::new(32, Window::Tumbling { span: 500 }, 60, 0, 0)
+            .unwrap()
+            .sink(11);
         sink.push_all(&records).unwrap();
         let window = sink.drain_completed().pop().unwrap();
         let path = temp_records(&records, "single");
@@ -647,7 +557,9 @@ mod tests {
     fn round_robin_window_matches_record_file_draw_sets() {
         // Push≡pull, draw_sets shape: r round-robin lanes of m.
         let records = stream(700, 32);
-        let mut sink = WindowedSink::new(32, 13, Window::Tumbling { span: 700 }, 0, 5, 40).unwrap();
+        let mut sink = SinkShape::new(32, Window::Tumbling { span: 700 }, 0, 5, 40)
+            .unwrap()
+            .sink(13);
         sink.push_all(&records).unwrap();
         let window = sink.drain_completed().pop().unwrap();
         let path = temp_records(&records, "rr");
@@ -660,8 +572,9 @@ mod tests {
     fn weighted_window_matches_record_file_draw_batch() {
         // Push≡pull, draw_batch shape: main + r weighted lanes.
         let records = stream(2000, 32);
-        let mut sink =
-            WindowedSink::new(32, 17, Window::Tumbling { span: 2000 }, 120, 3, 50).unwrap();
+        let mut sink = SinkShape::new(32, Window::Tumbling { span: 2000 }, 120, 3, 50)
+            .unwrap()
+            .sink(17);
         sink.push_all(&records).unwrap();
         let window = sink.drain_completed().pop().unwrap();
         let path = temp_records(&records, "batch");
@@ -672,8 +585,9 @@ mod tests {
 
     #[test]
     fn memory_stays_bounded_by_lane_sizes() {
-        let mut sink =
-            WindowedSink::new(64, 1, Window::Tumbling { span: 1 << 20 }, 100, 4, 25).unwrap();
+        let mut sink = SinkShape::new(64, Window::Tumbling { span: 1 << 20 }, 100, 4, 25)
+            .unwrap()
+            .sink(1);
         for i in 0..200_000usize {
             sink.push(i % 64).unwrap();
         }
@@ -683,9 +597,8 @@ mod tests {
 
     #[test]
     fn sliding_windows_overlap_and_advance_by_step() {
-        let mut sink = WindowedSink::new(
+        let mut sink = SinkShape::new(
             16,
-            5,
             Window::Sliding {
                 span: 200,
                 step: 50,
@@ -694,7 +607,8 @@ mod tests {
             0,
             0,
         )
-        .unwrap();
+        .unwrap()
+        .sink(5);
         sink.push_all(&stream(320, 16)).unwrap();
         let done = sink.drain_completed();
         // First window completes at record 200, then every 50: 200, 250, 300.
@@ -712,9 +626,8 @@ mod tests {
     #[test]
     fn snapshots_are_deterministic() {
         let run = || {
-            let mut sink = WindowedSink::new(
+            let mut sink = SinkShape::new(
                 16,
-                9,
                 Window::Sliding {
                     span: 100,
                     step: 25,
@@ -723,7 +636,8 @@ mod tests {
                 2,
                 10,
             )
-            .unwrap();
+            .unwrap()
+            .sink(9);
             sink.push_all(&stream(260, 16)).unwrap();
             (sink.drain_completed(), sink.snapshot())
         };
@@ -732,13 +646,15 @@ mod tests {
 
     #[test]
     fn snapshot_replay_and_merge_round_trip() {
-        let mut sink = WindowedSink::new(16, 2, Window::Tumbling { span: 300 }, 40, 2, 20).unwrap();
+        let mut sink = SinkShape::new(16, Window::Tumbling { span: 300 }, 40, 2, 20)
+            .unwrap()
+            .sink(2);
         sink.push_all(&stream(300, 16)).unwrap();
         let window = sink.drain_completed().pop().unwrap();
         assert_eq!(window.kept, 40 + 2 * 20);
         let merged = window.merged();
         assert_eq!(merged.total(), window.kept);
-        let mut replay = window.replay();
+        let mut replay = ReplayOracle::from_sets(window.n, window.lanes.clone());
         assert_eq!(replay.domain_size(), 16);
         let served = replay.draw_set(0);
         assert_eq!(served, window.lanes[0]);
@@ -756,8 +672,9 @@ mod tests {
         let records = stream(450, 32);
         for seed in [1u64, 7, 999] {
             let mut stamped = shape.sink(seed);
-            let mut direct =
-                WindowedSink::new(32, seed, Window::Tumbling { span: 200 }, 30, 2, 10).unwrap();
+            let mut direct = SinkShape::new(32, Window::Tumbling { span: 200 }, 30, 2, 10)
+                .unwrap()
+                .sink(seed);
             stamped.push_all(&records).unwrap();
             direct.push_all(&records).unwrap();
             assert_eq!(stamped.drain_completed(), direct.drain_completed());
@@ -766,14 +683,5 @@ mod tests {
         // Shape validation rejects the same degenerate configs as the sink.
         assert!(SinkShape::new(0, Window::Tumbling { span: 10 }, 5, 0, 0).is_err());
         assert!(SinkShape::new(8, Window::Tumbling { span: 10 }, 0, 0, 0).is_err());
-    }
-
-    #[test]
-    fn sink_is_object_safe() {
-        let mut sink = WindowedSink::new(8, 1, Window::Tumbling { span: 4 }, 4, 0, 0).unwrap();
-        let dyn_sink: &mut dyn SampleSink = &mut sink;
-        dyn_sink.push_all(&[1, 2, 3]).unwrap();
-        assert_eq!(dyn_sink.seen(), 3);
-        assert_eq!(dyn_sink.snapshot().seen, 3);
     }
 }

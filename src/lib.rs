@@ -29,7 +29,7 @@
 //! |---|---|---|
 //! | [`api`] | `khist-core` | **the front door**: typed requests, pull `Session` / push `Monitor` / keyed multi-stream `Engine`, shared `SamplePlan`, serde `Report` |
 //! | [`dist`] | `khist-dist` | distributions, intervals, histograms, distances, generators |
-//! | [`oracle`] | `khist-oracle` | the pull `SampleOracle` seam + backends, the push `SampleSink`/`WindowedSink` ingest layer, sample multisets, collision estimators, budgets |
+//! | [`oracle`] | `khist-oracle` | the pull `SampleOracle` seam + backends, the push `WindowedSink` ingest layer (built from a `SinkShape`), sample multisets, collision estimators, budgets |
 //! | [`stats`] | `khist-stats` | summaries, Wilson intervals, scaling fits |
 //! | [`fleet`] | `khist-fleet` | mergeable fleet rollups: counters, drift quantile sketch, top-K drifting streams |
 //! | [`baseline`] | `khist-baseline` | exact v-optimal DP, `ℓ₁` DP, equi-width/depth, MaxDiff, greedy-merge |
@@ -53,7 +53,7 @@
 //!   PULL   │ Session::run(&[…])                          │   PUSH
 //!          │                        Monitor::ingest(&[…])│
 //!          ▼                                             ▼
-//!   SamplePlan::for_batch                     WindowedSink (SampleSink)
+//!   plan_for → SamplePlan                     WindowedSink
 //!          │ max(ℓ), max(r), max(m)             │ plan-shaped reservoir
 //!          │ ONE draw shared by all             │ lanes; tumbling/sliding
 //!          ▼                                    │ windows, O(budget) memory
@@ -88,12 +88,12 @@
 //!
 //! For fleets of keyed streams (per-tenant, per-endpoint), the
 //! [`api::Engine`] lifts the same property one level up: stream keys hash
-//! onto a shared-nothing pool of worker shards, each owning the pure
-//! per-stream state machines ([`api::MonitorState`]) for its keys, with
-//! per-stream seeds derived as `Engine::stream_seed(base_seed, key)` — so
-//! a sharded run is **bit-identical per stream** to a dedicated
-//! single-threaded `Monitor` on that stream's records, for any shard
-//! count (property-tested in `tests/engine_sharding.rs`).
+//! onto a shared-nothing pool of worker shards, each owning one pure,
+//! I/O-free [`api::Monitor`] per key, with per-stream seeds derived as
+//! `Engine::stream_seed(base_seed, key)` — so a sharded run is
+//! **bit-identical per stream** to a dedicated single-threaded `Monitor`
+//! on that stream's records, for any shard count (property-tested in
+//! `tests/engine_sharding.rs`).
 //!
 //! ## Budgets
 //!
@@ -173,8 +173,8 @@ pub mod prelude {
     };
     pub use khist_core::api::{
         Analysis, AnalysisKind, BudgetSpec, ClosenessL2, Engine, EngineBuilder, FleetReport,
-        FleetSummary, IdentityL2, Learn, Monitor, MonitorBuilder, MonitorState, Monotone,
-        Report, SamplePlan, Session, TestL1, TestL2, TopStream, Uniformity, WindowReport,
+        FleetSummary, IdentityL2, Learn, Monitor, MonitorBuilder, Monotone, Report, SamplePlan,
+        Session, TestL1, TestL2, TopStream, Uniformity, WindowReport,
     };
     pub use khist_core::compress::compress_to_k;
     pub use khist_core::greedy::{learn, learn_from_samples, CandidatePolicy, GreedyParams};
@@ -184,7 +184,7 @@ pub mod prelude {
     pub use khist_dist::{DenseDistribution, Interval, PriorityHistogram, TilingHistogram};
     pub use khist_oracle::{
         Budget, DenseOracle, L1TesterBudget, L2TesterBudget, LearnerBudget, RecordFileOracle,
-        ReplayOracle, Reservoir, SampleOracle, SampleSet, SampleSink, Window, WindowSnapshot,
+        ReplayOracle, Reservoir, SampleOracle, SampleSet, SinkShape, Window, WindowSnapshot,
         WindowedSink,
     };
 }

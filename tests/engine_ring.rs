@@ -4,7 +4,7 @@
 //! Two properties anchor the ring design. First, **routing is invisible**:
 //! a stream's reports are bit-identical at every ring size (1, 2, 4, 8
 //! shards) and across any resize history, because `stream_seed` derives
-//! from the key alone and migration moves `MonitorState`s without
+//! from the key alone and migration moves `Monitor`s without
 //! touching them. Second, **resizing is cheap**: growing N → N+1 shards
 //! migrates at most 2/(N+1) of live streams (expected ~1/(N+1); the
 //! factor 2 absorbs virtual-node placement variance), where the old

@@ -131,10 +131,26 @@ fn million_event_stream_is_budget_bounded_and_draw_free() {
     let p = khist::dist::generators::staircase(n, 4).unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     use rand::SeedableRng;
+    let drawn = |monitor: &Monitor| -> usize {
+        monitor
+            .ledger()
+            .iter()
+            .filter(|e| e.label == "draw")
+            .map(|e| e.samples)
+            .sum()
+    };
     let mut windows = Vec::new();
     for _ in 0..200 {
         let chunk = p.sample_many(5_000, &mut rng);
-        windows.extend(monitor.ingest(&chunk).unwrap());
+        let before = drawn(&monitor);
+        let closed = monitor.ingest(&chunk).unwrap();
+        // Zero new draws beyond the frozen windows: the "draw" total grows
+        // by exactly the kept samples of the windows this call closed — and
+        // the engine consumed the frozen lanes exactly (an extra draw
+        // would have panicked the replay oracle).
+        let kept: u64 = closed.iter().map(|w| w.kept).sum();
+        assert_eq!((drawn(&monitor) - before) as u64, kept);
+        windows.extend(closed);
     }
     assert_eq!(monitor.seen(), 1_000_000);
     assert_eq!(windows.len(), 10);
@@ -146,24 +162,9 @@ fn million_event_stream_is_budget_bounded_and_draw_free() {
         );
     }
 
-    // Zero new draws beyond the frozen windows: the ledger shows exactly
-    // one freeze-"draw" per window, sized to the window's kept samples —
-    // and the engine consumed the frozen lanes exactly (an extra draw
-    // would have panicked the replay oracle).
-    let draws: Vec<_> = monitor
-        .ledger()
-        .iter()
-        .filter(|e| e.label == "draw")
-        .collect();
-    assert_eq!(draws.len(), windows.len());
-    for (entry, window) in draws.iter().zip(&windows) {
-        assert_eq!(entry.samples as u64, window.kept);
-    }
-    // Per-window ledger: 1 draw + one entry per standing analysis.
-    assert_eq!(
-        monitor.ledger().len(),
-        windows.len() * (1 + standing.len())
-    );
+    // Bounded ledger: one total for "draw" plus one per standing analysis,
+    // however many windows closed.
+    assert_eq!(monitor.ledger().len(), 1 + standing.len());
     // Drift is reported from the second window on.
     assert!(windows[0].drift.is_none());
     assert!(windows[1..].iter().all(|w| w.drift.is_some()));
