@@ -3,7 +3,9 @@
 //! Benchmarks the full learn-from-samples path (sampling excluded — samples
 //! are drawn once per size outside the timed region) for the exhaustive and
 //! the sample-endpoint candidate policies across domain sizes. The paper's
-//! claim: exhaustive grows ~n², fast stays budget-bound.
+//! claim: exhaustive grows ~n², fast stays budget-bound. `cli_budget` is the
+//! learn that `khist watch` runs per 500-record window by default: n = 256,
+//! ℓ = 386, r = 3, m = 38, q = 19, 128 endpoints.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use khist_core::greedy::{learn_from_samples, CandidatePolicy, GreedyParams};
@@ -45,6 +47,23 @@ fn bench_greedy(c: &mut Criterion) {
             b.iter(|| learn_from_samples(n, &main, &sets, &params).expect("learner runs"));
         });
     }
+
+    let n = 256;
+    let p = generators::staircase(n, 4).expect("valid staircase");
+    let budget = LearnerBudget {
+        ell: 386,
+        r: 3,
+        m: 38,
+        q: 19,
+        ..LearnerBudget::calibrated(n, k, eps, 1.0).expect("budget")
+    };
+    let mut rng = StdRng::seed_from_u64(3);
+    let main = SampleSet::draw(&p, budget.ell, &mut rng);
+    let sets = SampleSet::draw_many(&p, budget.m, budget.r, &mut rng);
+    group.bench_with_input(BenchmarkId::new("cli_budget", n), &n, |b, _| {
+        let params = GreedyParams::fast(k, eps, budget);
+        b.iter(|| learn_from_samples(n, &main, &sets, &params).expect("learner runs"));
+    });
     group.finish();
 }
 

@@ -210,7 +210,9 @@ impl Learn {
     }
 
     /// Caps the endpoint set used by sample-endpoint candidates
-    /// (`0` disables the cap).
+    /// (`0` disables the cap). A cap must keep both ends of the evenly
+    /// subsampled endpoint list, so `1` is rejected with
+    /// [`DistError::BadParameter`] when the analysis runs.
     pub fn max_endpoints(mut self, cap: usize) -> Self {
         self.max_endpoints = cap;
         self

@@ -7,20 +7,27 @@
 //! The per-piece term `z_I − y_I²/|I|` is the plug-in estimate of the
 //! flattening SSE `Σ_{i∈I} p_i² − p(I)²/|I|` (Equation 12).
 //!
-//! Two oracles implement the same interface:
+//! The greedy reads them from a [`CostTable`]: the cost of every piece
+//! `[B_i, B_j)` over a boundary set `B`, filled once per learn call into one
+//! triangular `Vec<f64>` of `|B|(|B|−1)/2` entries (about 265 KB at the
+//! 128-endpoint cap, `|B| ≤ 258`). Two oracles fill it:
 //!
-//! * [`SampleCostOracle`] — the real thing, backed by sample sets, with
-//!   memoization (the greedy revisits the same intervals across its
-//!   `k·ln(1/ε)` iterations, and `y`/`z` never change within a run);
+//! * [`SampleCostOracle`] — the real thing, from sample-set prefix counts;
 //! * [`ExactCostOracle`] — plugs in the true `p(I)` and `Σ p_i²`; used by
 //!   tests and ablations to isolate the greedy's convergence behaviour from
 //!   sampling noise.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+// lint:allow-file(checked-indexing): every index is a rank below bounds.len(), prefix tables too.
 
-use khist_dist::{DenseDistribution, Interval};
-use khist_oracle::{MedianBooster, SampleSet};
+use khist_dist::{DenseDistribution, DistError, Interval};
+use khist_oracle::{
+    absolute_collision_ratio, empirical_fraction, median_in_place, MedianBooster, SampleSet,
+};
+
+/// `z − y²/len`: the one expression behind every piece cost.
+fn flatten_cost(y: f64, z: f64, len: usize) -> f64 {
+    z - y.powi(2) / len as f64
+}
 
 /// Interval-cost interface consumed by the greedy learner.
 pub trait CostOracle {
@@ -35,15 +42,84 @@ pub trait CostOracle {
     /// May be negative under sampling noise; the greedy only compares sums
     /// of these values, which the analysis (Equations 13–18) accounts for.
     fn piece_cost(&self, iv: Interval) -> f64 {
-        self.power(iv) - self.weight(iv).powi(2) / iv.len() as f64
+        flatten_cost(self.weight(iv), self.power(iv), iv.len())
+    }
+
+    /// The [`piece_cost`](CostOracle::piece_cost) of every piece the greedy
+    /// can create over `endpoints` (non-empty, sorted, below `n`).
+    fn cost_table(&self, n: usize, endpoints: &[usize]) -> Result<CostTable, DistError> {
+        let bounds = CostTable::bounds_of(n, endpoints)?;
+        Ok(CostTable::fill(bounds, |_, _, iv| self.piece_cost(iv)))
     }
 }
 
-/// Cost oracle backed by the paper's sample statistics, with memoization.
+/// Piece costs over a boundary set `B = {0 = B_0 < B_1 < … < B_last = n}`:
+/// `cost(i, j)` is the cost of `[B_i, B_j − 1]`, stored row `i` by row.
+#[derive(Debug, Clone)]
+pub struct CostTable {
+    bounds: Vec<usize>,
+    costs: Vec<f64>,
+}
+
+impl CostTable {
+    /// `B = {0, n} ∪ E ∪ {e + 1 : e ∈ E}` for sorted endpoints `E` below `n`:
+    /// every candidate over `E`, and every trim beside one, ends in `B`.
+    fn bounds_of(n: usize, endpoints: &[usize]) -> Result<Vec<usize>, DistError> {
+        if endpoints.last().is_none_or(|&e| e >= n) || !endpoints.is_sorted() {
+            return Err(DistError::BadParameter {
+                reason: format!("candidate endpoints must be non-empty, sorted and below n = {n}"),
+            });
+        }
+        let mut bounds: Vec<usize> = [0, n]
+            .into_iter()
+            .chain(endpoints.iter().flat_map(|&e| [e, e + 1]))
+            .collect();
+        bounds.sort_unstable();
+        bounds.dedup();
+        Ok(bounds)
+    }
+
+    fn fill(bounds: Vec<usize>, mut cost: impl FnMut(usize, usize, Interval) -> f64) -> Self {
+        let mut table = CostTable {
+            bounds,
+            costs: Vec::new(),
+        };
+        let nb = table.bounds.len();
+        table.costs = (0..nb)
+            .flat_map(|i| (i + 1..nb).map(move |j| (i, j)))
+            .map(|(i, j)| cost(i, j, table.interval(i, j)))
+            .collect();
+        table
+    }
+
+    /// The boundary set `B`, sorted.
+    pub fn bounds(&self) -> &[usize] {
+        &self.bounds
+    }
+
+    /// The number of boundaries below `x`: the rank of `x` when `x ∈ B`.
+    pub fn rank(&self, x: usize) -> usize {
+        self.bounds.partition_point(|&b| b < x)
+    }
+
+    /// Cost of the piece `[B_lo, B_hi − 1]`; needs `lo < hi < |B|`.
+    pub fn cost(&self, lo: usize, hi: usize) -> f64 {
+        debug_assert!(lo < hi && hi < self.bounds.len());
+        // Rows before `lo` hold Σ_{t<lo} (|B|−1−t) entries.
+        self.costs[lo * (2 * self.bounds.len() - lo - 3) / 2 + hi - 1]
+    }
+
+    /// The piece `[B_lo, B_hi − 1]`; needs `lo < hi < |B|`.
+    pub fn interval(&self, lo: usize, hi: usize) -> Interval {
+        // lint:allow(no-panic): bounds rise strictly, so B_lo <= B_hi - 1 for lo < hi
+        Interval::new(self.bounds[lo], self.bounds[hi] - 1).expect("ranks in order")
+    }
+}
+
+/// Cost oracle backed by the paper's sample statistics.
 pub struct SampleCostOracle<'a> {
     main: &'a SampleSet,
     booster: MedianBooster<'a>,
-    cache: RefCell<BTreeMap<(usize, usize), (f64, f64)>>,
 }
 
 impl<'a> SampleCostOracle<'a> {
@@ -53,7 +129,6 @@ impl<'a> SampleCostOracle<'a> {
         SampleCostOracle {
             main,
             booster: MedianBooster::new(collision_sets),
-            cache: RefCell::new(BTreeMap::new()),
         }
     }
 
@@ -61,31 +136,33 @@ impl<'a> SampleCostOracle<'a> {
     pub fn main(&self) -> &'a SampleSet {
         self.main
     }
-
-    /// Number of cached intervals so far (diagnostics).
-    pub fn cached_intervals(&self) -> usize {
-        self.cache.borrow().len()
-    }
-
-    fn lookup(&self, iv: Interval) -> (f64, f64) {
-        let key = (iv.lo(), iv.hi());
-        if let Some(&v) = self.cache.borrow().get(&key) {
-            return v;
-        }
-        let y = self.main.empirical_mass(iv);
-        let z = self.booster.absolute_median(iv);
-        self.cache.borrow_mut().insert(key, (y, z));
-        (y, z)
-    }
 }
 
 impl CostOracle for SampleCostOracle<'_> {
     fn weight(&self, iv: Interval) -> f64 {
-        self.lookup(iv).0
+        self.main.empirical_mass(iv)
     }
 
     fn power(&self, iv: Interval) -> f64 {
-        self.lookup(iv).1
+        self.booster.absolute_median(iv)
+    }
+
+    /// Same bits as `piece_cost`, from prefix counts read once per boundary.
+    fn cost_table(&self, n: usize, endpoints: &[usize]) -> Result<CostTable, DistError> {
+        let bounds = CostTable::bounds_of(n, endpoints)?;
+        let below = |s: &SampleSet| -> Vec<(u64, u64)> {
+            bounds.iter().map(|&b| s.prefix_below(b)).collect()
+        };
+        let (main, sets) = (below(self.main), self.booster.sets());
+        let colls: Vec<_> = sets.iter().map(below).collect();
+        let mut z = vec![0.0; sets.len()];
+        Ok(CostTable::fill(bounds, |i, j, iv| {
+            for ((slot, set), c) in z.iter_mut().zip(sets).zip(&colls) {
+                *slot = absolute_collision_ratio(c[j].1 - c[i].1, set.total());
+            }
+            let y = empirical_fraction(main[j].0 - main[i].0, self.main.total());
+            flatten_cost(y, median_in_place(&mut z).unwrap_or(0.0), iv.len())
+        }))
     }
 }
 
@@ -160,19 +237,37 @@ mod tests {
     }
 
     #[test]
-    fn sample_oracle_memoizes() {
-        let p = DenseDistribution::uniform(8).unwrap();
+    fn sample_table_matches_piece_cost() {
+        // Empty main set, even and odd r, sparse boundaries: every entry
+        // carries the bits of the per-interval piece_cost.
+        let p = generators::zipf(40, 1.2).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let main = SampleSet::draw(&p, 100, &mut rng);
-        let sets = SampleSet::draw_many(&p, 100, 3, &mut rng);
-        let o = SampleCostOracle::new(&main, &sets);
-        assert_eq!(o.cached_intervals(), 0);
-        let _ = o.weight(iv(0, 3));
-        assert_eq!(o.cached_intervals(), 1);
-        let _ = o.power(iv(0, 3)); // same interval: no new entry
-        assert_eq!(o.cached_intervals(), 1);
-        let _ = o.piece_cost(iv(1, 2));
-        assert_eq!(o.cached_intervals(), 2);
+        for (ell, r) in [(0, 3), (60, 4), (200, 1)] {
+            let main = SampleSet::draw(&p, ell, &mut rng);
+            let sets = SampleSet::draw_many(&p, 30, r, &mut rng);
+            let o = SampleCostOracle::new(&main, &sets);
+            let t = o.cost_table(40, &[0, 1, 5, 16, 38]).unwrap();
+            assert_eq!(t.bounds(), [0, 1, 2, 5, 6, 16, 17, 38, 39, 40]);
+            for hi in 1..t.bounds().len() {
+                for lo in 0..hi {
+                    let want = o.piece_cost(t.interval(lo, hi));
+                    assert_eq!(t.cost(lo, hi).to_bits(), want.to_bits(), "[{lo}, {hi})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_bounds_come_from_endpoints() {
+        let p = DenseDistribution::uniform(8).unwrap();
+        let o = ExactCostOracle::new(&p);
+        for endpoints in [&[][..], &[8], &[2, 9], &[5, 3]] {
+            assert!(o.cost_table(8, endpoints).is_err(), "{endpoints:?}");
+        }
+        let t = o.cost_table(8, &[2, 2, 7]).unwrap();
+        assert_eq!(t.bounds(), [0, 2, 3, 7, 8]);
+        assert_eq!((t.rank(0), t.rank(3), t.rank(8)), (0, 2, 4));
+        assert_eq!(t.interval(1, 3), iv(2, 6));
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //! [`TilingState`]) and commits the minimizer. Theorem 1:
 //! `‖p − H‖₂² ≤ ‖p − H*‖₂² + 5ε`.
 //!
+//! Every piece the loop can create starts and ends in `B = {0, n} ∪ E ∪
+//! {e + 1 : e ∈ E}` for the endpoint set `E`, so each run scores from one
+//! [`crate::cost::CostTable`] of `|B|(|B|−1)/2` costs (~265 KB at 128 endpoints).
+//!
 //! [`CandidatePolicy`] selects the enumeration strategy:
 //!
 //! * [`CandidatePolicy::All`] — all `C(n+1, 2)` intervals (Algorithm 1
@@ -164,6 +168,11 @@ pub fn learn_from_samples(
             reason: "need ≥ 1 collision sample set".into(),
         });
     }
+    if params.max_endpoints == 1 {
+        return Err(DistError::BadParameter {
+            reason: "max_endpoints must be 0 (no cap) or ≥ 2".into(),
+        });
+    }
     let oracle = SampleCostOracle::new(main, collision_sets);
     let endpoints = candidate_endpoints(n, main, params);
     let samples_used = main.total() as usize
@@ -182,6 +191,8 @@ pub fn learn_from_samples(
 /// against the noise-free [`crate::cost::ExactCostOracle`] — tests use that
 /// to verify the *optimization* behaviour (convergence to the DP optimum as
 /// `q` grows) independently of estimation error.
+/// The candidates are the intervals `[a, b]`, `a ≤ b`, over `endpoints`,
+/// which must be non-empty, sorted and below `n`.
 pub fn greedy_with_oracle(
     n: usize,
     oracle: &impl CostOracle,
@@ -191,52 +202,45 @@ pub fn greedy_with_oracle(
     if n == 0 {
         return Err(DistError::EmptyDomain);
     }
-    let candidates = enumerate_candidates(endpoints);
-    if candidates.is_empty() {
-        return Err(DistError::BadParameter {
-            reason: "no candidate intervals".into(),
-        });
-    }
+    let table = oracle.cost_table(n, endpoints)?;
+    // Candidate [a, b] is the rank piece (rank(a), rank(b + 1)), a-major.
+    let candidates: Vec<(usize, usize)> = (0..endpoints.len())
+        // lint:allow(checked-indexing): i < endpoints.len() from the range
+        .flat_map(|i| endpoints[i..].iter().map(move |&b| (endpoints[i], b)))
+        .map(|(a, b)| (table.rank(a), table.rank(b + 1)))
+        .collect();
 
-    let mut state = TilingState::full_domain(n, oracle)?;
+    let density = |iv: Interval| (iv, oracle.weight(iv) / iv.len() as f64);
+    let mut state = TilingState::new(&table);
     let mut priority = PriorityHistogram::new();
     let mut stats = GreedyStats {
-        iterations: 0,
-        candidates_evaluated: 0,
-        samples_used: 0,
         endpoints_used: endpoints.len(),
+        ..GreedyStats::default()
     };
 
     for _ in 0..q {
-        let mut best: Option<(f64, Interval)> = None;
-        for &j in &candidates {
-            let cost = state.preview_insert(j, oracle);
-            stats.candidates_evaluated += 1;
+        let mut best: Option<(f64, usize, usize)> = None;
+        for &(lo, hi) in &candidates {
+            let cost = state.preview_insert(lo, hi);
             match best {
-                Some((b, _)) if b <= cost => {}
-                _ => best = Some((cost, j)),
+                Some((b, ..)) if b <= cost => {}
+                _ => best = Some((cost, lo, hi)),
             }
         }
-        // lint:allow(no-panic): the candidate loop above always runs at least once
-        let (_, j_min) = best.expect("candidates is non-empty");
-        let created = state.insert(j_min, oracle);
+        stats.candidates_evaluated += candidates.len();
+        // lint:allow(no-panic): endpoints is non-empty, so the candidate loop above ran
+        let (_, lo, hi) = best.expect("candidates is non-empty");
+        let created = state.insert(lo, hi);
         // Record the new pieces at a fresh shared priority, each with its
         // estimated density y_I/|I| (the paper's (I_L, y_{I_L}, r),
         // (J, y_J, r), (I_R, y_{I_R}, r) — values stored as densities,
         // cf. Theorem 2's H_{J, p(J)/|J|}).
-        priority.push_level(
-            created
-                .iter()
-                .map(|&iv| (iv, oracle.weight(iv) / iv.len() as f64)),
-        );
+        priority.push_level(created.into_iter().map(density));
         stats.iterations += 1;
     }
 
     // Materialize the learned tiling: estimated density per piece.
-    let pieces: Vec<(Interval, f64)> = state
-        .pieces()
-        .map(|iv| (iv, oracle.weight(iv) / iv.len() as f64))
-        .collect();
+    let pieces: Vec<(Interval, f64)> = state.pieces().map(density).collect();
     let tiling = TilingHistogram::from_pieces(&pieces, n)?;
     Ok(GreedyOutcome {
         priority,
@@ -245,7 +249,8 @@ pub fn greedy_with_oracle(
     })
 }
 
-/// The endpoint set implied by the candidate policy.
+/// The endpoint set implied by the candidate policy: sorted, distinct and
+/// below `n`.
 fn candidate_endpoints(n: usize, main: &SampleSet, params: &GreedyParams) -> Vec<usize> {
     let mut endpoints = match params.policy {
         CandidatePolicy::All => (0..n).collect::<Vec<usize>>(),
@@ -257,39 +262,19 @@ fn candidate_endpoints(n: usize, main: &SampleSet, params: &GreedyParams) -> Vec
                 t
             }
         }
-        CandidatePolicy::Grid(stride) => {
-            let stride = stride.max(1);
-            let mut g: Vec<usize> = (0..n).step_by(stride).collect();
-            // lint:allow(no-panic): (0..n).step_by(s) is non-empty because n > 0 is validated upstream
-            if *g.last().expect("non-empty") != n - 1 {
-                g.push(n - 1);
-            }
-            g
-        }
+        CandidatePolicy::Grid(stride) => (0..n).step_by(stride.max(1)).chain([n - 1]).collect(),
     };
+    // [0, n − 1] at n = 1, or a stride landing on n − 1, repeats an endpoint.
+    endpoints.dedup();
     if params.max_endpoints > 0 && endpoints.len() > params.max_endpoints {
         let keep = params.max_endpoints;
         let len = endpoints.len();
         endpoints = (0..keep)
-            // lint:allow(checked-indexing): i*(len-1)/(keep-1) <= len-1 for i < keep
+            // lint:allow(checked-indexing): i*(len-1)/(keep-1) <= len-1 for i < keep, keep >= 2 checked upstream
             .map(|i| endpoints[i * (len - 1) / (keep - 1)])
             .collect();
-        endpoints.dedup();
     }
     endpoints
-}
-
-/// All intervals `[a, b]` with `a ≤ b` drawn from the endpoint set.
-fn enumerate_candidates(endpoints: &[usize]) -> Vec<Interval> {
-    let mut out = Vec::with_capacity(endpoints.len() * (endpoints.len() + 1) / 2);
-    for (i, &a) in endpoints.iter().enumerate() {
-        // lint:allow(checked-indexing): i comes from enumerate() over this slice
-        for &b in &endpoints[i..] {
-            // lint:allow(no-panic): endpoints are sorted, so a <= b within the tail slice
-            out.push(Interval::new(a, b).expect("endpoints sorted"));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -441,6 +426,46 @@ mod tests {
         let main = SampleSet::draw(&p, 10, &mut rng);
         assert!(learn_from_samples(8, &main, &[], &params).is_err());
         assert!(learn_from_samples(0, &main, std::slice::from_ref(&main), &params).is_err());
+    }
+
+    #[test]
+    fn rejects_an_endpoint_cap_of_one() {
+        // A cap of 1 used to divide by zero while subsampling endpoints.
+        let p = generators::zipf(64, 1.0).unwrap();
+        let mut rng = StdRng::seed_from_u64(4);
+        let main = SampleSet::draw(&p, 200, &mut rng);
+        let sets = SampleSet::draw_many(&p, 40, 3, &mut rng);
+        let budget = LearnerBudget::calibrated(64, 2, 0.2, 0.05).unwrap();
+        let mut params = GreedyParams::fast(2, 0.2, budget);
+        for (cap, ok) in [(0, true), (1, false), (2, true), (7, true)] {
+            params.max_endpoints = cap;
+            let out = learn_from_samples(64, &main, &sets, &params);
+            assert_eq!(out.is_ok(), ok, "cap {cap}");
+            if !ok {
+                assert!(matches!(out, Err(DistError::BadParameter { .. })));
+            }
+        }
+        let mut session = crate::api::Session::from_dense(&p, 5);
+        let learn = crate::api::Learn::k(2)
+            .eps(0.2)
+            .scale(0.05)
+            .max_endpoints(1);
+        assert!(matches!(
+            session.run_one(learn),
+            Err(DistError::BadParameter { .. })
+        ));
+    }
+
+    #[test]
+    fn one_element_domain_has_one_endpoint() {
+        // The empty-sample fallback [0, n − 1] is a single endpoint at n = 1.
+        let budget = LearnerBudget::calibrated(1, 1, 0.2, 0.05).unwrap();
+        let params = GreedyParams::fast(1, 0.2, budget);
+        let empty = SampleSet::from_samples(vec![]);
+        let sets = vec![SampleSet::from_samples(vec![0, 0]); 3];
+        let out = learn_from_samples(1, &empty, &sets, &params).unwrap();
+        assert_eq!(out.stats.endpoints_used, 1);
+        assert_eq!(out.stats.candidates_evaluated, budget.q);
     }
 
     #[test]

@@ -25,11 +25,20 @@ use crate::sample_set::{choose2, SampleSet};
 ///
 /// Returns `0.0` when the set has fewer than two samples (no pairs exist).
 pub fn absolute_collision_estimate(set: &SampleSet, iv: Interval) -> f64 {
-    let pairs = choose2(set.total());
+    absolute_collision_ratio(set.collisions_in(iv), set.total())
+}
+
+/// The counts-level kernel of [`absolute_collision_estimate`]:
+/// `collisions / C(total, 2)`, `0.0` when `total < 2`. Callers that hold
+/// the counts already (the greedy learner's cost table) use it to get the
+/// same bits.
+#[inline]
+pub fn absolute_collision_ratio(collisions: u64, total: u64) -> f64 {
+    let pairs = choose2(total);
     if pairs == 0 {
         return 0.0;
     }
-    set.collisions_in(iv) as f64 / pairs as f64
+    collisions as f64 / pairs as f64
 }
 
 /// Conditional estimator `coll(S_I) / C(|S_I|, 2)` of `‖p_I‖₂²`
@@ -45,6 +54,13 @@ pub fn conditional_collision_estimate(set: &SampleSet, iv: Interval) -> Option<f
 /// Median over the defined values of an iterator; `None` when all are `None`.
 fn median_of(values: impl Iterator<Item = f64>) -> Option<f64> {
     let mut v: Vec<f64> = values.collect();
+    median_in_place(&mut v)
+}
+
+/// Median of `v`, sorting it in place by [`f64::total_cmp`]; an even count
+/// averages the two middle values. `None` when `v` is empty. This is the
+/// one median behind [`MedianBooster`] and the greedy learner's cost table.
+pub fn median_in_place(v: &mut [f64]) -> Option<f64> {
     if v.is_empty() {
         return None;
     }

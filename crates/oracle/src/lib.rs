@@ -40,11 +40,14 @@ pub mod sample_set;
 pub mod sink;
 
 pub use budget::{Budget, L1TesterBudget, L2TesterBudget, LearnerBudget};
-pub use collision::{absolute_collision_estimate, conditional_collision_estimate, MedianBooster};
+pub use collision::{
+    absolute_collision_estimate, absolute_collision_ratio, conditional_collision_estimate,
+    median_in_place, MedianBooster,
+};
 pub use empirical::empirical_distribution;
 pub use oracle::{stream_seed, DenseOracle, RecordFileOracle, ReplayOracle, SampleOracle};
 pub use reservoir::Reservoir;
-pub use sample_set::{choose2, SampleSet};
+pub use sample_set::{choose2, empirical_fraction, SampleSet};
 pub use sink::{window_seed, SinkShape, Window, WindowSnapshot, WindowedSink};
 
 #[cfg(test)]

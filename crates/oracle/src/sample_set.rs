@@ -44,6 +44,18 @@ pub fn choose2(c: u64) -> u64 {
     c * (c.saturating_sub(1)) / 2
 }
 
+/// `count / total` as an `f64`, `0.0` when `total == 0` — the empirical
+/// mass kernel shared by [`SampleSet::empirical_mass`] and callers that
+/// hold the counts already (the greedy learner's cost table), so the two
+/// produce the same bits.
+#[inline]
+pub fn empirical_fraction(count: u64, total: u64) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    count as f64 / total as f64
+}
+
 impl SampleSet {
     /// Builds a sample set from raw draws (any order, duplicates expected).
     pub fn from_samples(mut samples: Vec<usize>) -> Self {
@@ -140,6 +152,14 @@ impl SampleSet {
         self.pair_prefix[b] - self.pair_prefix[a]
     }
 
+    /// Hit and collision counts of the samples below `x`:
+    /// `(|S ∩ [0, x)|, coll(S ∩ [0, x)))`, with one binary search. Interval
+    /// counts are differences of two of these.
+    pub fn prefix_below(&self, x: usize) -> (u64, u64) {
+        let a = self.values.partition_point(|&v| v < x);
+        (self.count_prefix[a], self.pair_prefix[a])
+    }
+
     /// Total collision count over the whole domain.
     pub fn collisions_total(&self) -> u64 {
         self.pair_prefix.last().copied().unwrap_or(0)
@@ -149,10 +169,7 @@ impl SampleSet {
     ///
     /// Returns `0.0` for an empty set.
     pub fn empirical_mass(&self, iv: Interval) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        self.count_in(iv) as f64 / self.total as f64
+        empirical_fraction(self.count_in(iv), self.total)
     }
 
     /// The candidate endpoint set `T′` of Theorem 2: every sampled value and
