@@ -67,6 +67,11 @@
 //! * busy shards move into their jobs by value (`mem::take` of the shard
 //!   slab — no copy, no channel allocation) and move back when collected.
 //!   A lone job runs inline on the caller thread — no handoff at all.
+//! * each stream's reservoir lanes reserve their expected share of a
+//!   window on first touch and double past it (the memory policy of
+//!   [`khist_oracle::sink`]); like every other scratch buffer they stop
+//!   allocating once they reach their high-water mark, and a retired
+//!   window's buffers serve the next window.
 //!
 //! # Sharding is semantics-free
 //!
@@ -151,7 +156,7 @@ use crate::monitor::{resolve_config, Monitor, WindowReport};
 #[derive(Default)]
 struct ShardOutcome {
     reports: Vec<WindowReport>,
-    errors: Vec<(String, DistError)>,
+    errors: Vec<(Arc<str>, DistError)>,
 }
 
 /// FNV-1a 64-bit hash of a stream key.
@@ -283,26 +288,28 @@ struct EngineConfig {
 
 impl EngineConfig {
     /// Stamps out the monitor for a new stream key — cheap: the shape
-    /// and batch were validated once at [`EngineBuilder::build`].
-    fn new_monitor(&self, key: &str) -> Monitor {
+    /// and batch were validated once at [`EngineBuilder::build`], and the
+    /// monitor's stream label shares the key's one allocation.
+    fn new_monitor(&self, key: &Arc<str>) -> Monitor {
         Monitor::from_parts(
             &self.shape,
             Engine::stream_seed(self.seed, key),
             Arc::clone(&self.analyses),
             self.plan,
             self.drift_eps,
-            Some(key.to_string()),
+            Some(Arc::clone(key)),
         )
     }
 }
 
 /// One interned stream key: its cached hash and its home `(shard, slot)`.
-/// `Clone` is derived for `Arc::make_mut` on the [`Interner`]; the engine
-/// only mutates the interner when its `Arc` is unique (no route job in
-/// flight), so the clone never actually runs.
+/// The key is the stream's one copy, shared with its [`StreamSlot`] and
+/// its monitor's stream label. `Clone` is derived for `Arc::make_mut` on
+/// the [`Interner`]; the engine only mutates the interner when its `Arc`
+/// is unique (no route job in flight), so the clone never actually runs.
 #[derive(Clone)]
 struct KeyEntry {
-    key: String,
+    key: Arc<str>,
     hash: u64,
     shard: u32,
     slot: u32,
@@ -364,12 +371,12 @@ impl Interner {
         }
     }
 
-    /// Registers a debuting key (cold path: allocates the entry, may
-    /// regrow the table). Caller guarantees `key` is not present.
-    fn insert(&mut self, key: &str, hash: u64, shard: u32, slot: u32) {
+    /// Registers a debuting key (cold path: may grow the slab or regrow
+    /// the table). Caller guarantees `key` is not present.
+    fn insert(&mut self, key: Arc<str>, hash: u64, shard: u32, slot: u32) {
         let id = self.entries.len() as u32;
         self.entries.push(KeyEntry {
-            key: key.to_string(),
+            key,
             hash,
             shard,
             slot,
@@ -502,7 +509,8 @@ fn bucket_records(chunk: &mut RouteChunk, interner: &Interner) {
 
 /// One stream owned by a shard.
 struct StreamSlot {
-    key: String,
+    /// The stream key: the interner entry's allocation, shared.
+    key: Arc<str>,
     monitor: Monitor,
     /// The stream's global debut index (engine interner id) — the fleet
     /// rollup's stream key, stable across live resizes.
@@ -527,7 +535,7 @@ impl StreamSlot {
                 observe_windows(fleet, self, &reports);
                 outcome.reports.extend(reports);
             }
-            Err(e) => outcome.errors.push((self.key.clone(), e)),
+            Err(e) => outcome.errors.push((Arc::clone(&self.key), e)),
         }
     }
 }
@@ -1058,7 +1066,7 @@ impl Engine {
                     .get(e.shard as usize)
                     .and_then(|s| s.slots.get(e.slot as usize))
                     .map_or(0, |s| s.monitor.seen());
-                (e.key.as_str(), seen)
+                (&*e.key, seen)
             })
             .collect()
     }
@@ -1069,7 +1077,7 @@ impl Engine {
     /// straight from the interner's slab; nothing is re-sorted or
     /// re-hashed per call.
     pub fn stream_keys(&self) -> Vec<&str> {
-        self.interner.entries.iter().map(|e| e.key.as_str()).collect()
+        self.interner.entries.iter().map(|e| &*e.key).collect()
     }
 
     /// Total records ingested across all streams.
@@ -1133,7 +1141,7 @@ impl Engine {
         if let Some((_, entry)) = self.interner.lookup(key, hash) {
             return (entry.shard as usize, entry.slot);
         }
-        let key = String::from_utf8_lossy(key);
+        let key: Arc<str> = Arc::from(String::from_utf8_lossy(key));
         let shard_idx = self.ring.owner(hash) as usize;
         // lint:allow(checked-indexing): ring owners are < shards.len() by construction
         let shard = &mut self.shards[shard_idx];
@@ -1142,7 +1150,7 @@ impl Engine {
         // id is the current entry count.
         let debut = self.interner.entries.len() as u32;
         shard.slots.push(StreamSlot {
-            key: key.to_string(),
+            key: Arc::clone(&key),
             monitor: self.cfg.new_monitor(&key),
             debut,
             alarmed: false,
@@ -1150,7 +1158,7 @@ impl Engine {
         shard.fleet.observe_debut();
         // Debut is a cold path and runs with no route job in flight, so
         // the Arc is unique and make_mut mutates in place (no clone).
-        Arc::make_mut(&mut self.interner).insert(&key, hash, shard_idx as u32, slot);
+        Arc::make_mut(&mut self.interner).insert(key, hash, shard_idx as u32, slot);
         (shard_idx, slot)
     }
 
@@ -1612,7 +1620,7 @@ impl Engine {
     /// count; worker completion order is not).
     fn settle(&mut self) -> Result<Vec<WindowReport>, DistError> {
         let mut reports = Vec::new();
-        let mut first_error: Option<(String, DistError)> = None;
+        let mut first_error: Option<(Arc<str>, DistError)> = None;
         for outcome in self.outcomes.drain(..) {
             reports.extend(outcome.reports);
             for (key, e) in outcome.errors {

@@ -316,7 +316,7 @@ impl MonitorBuilder {
             Arc::new(self.analyses),
             plan,
             self.drift_eps,
-            self.stream,
+            self.stream.map(Arc::from),
         ))
     }
 }
@@ -364,7 +364,9 @@ pub struct Monitor {
     analyses: Arc<Vec<Analysis>>,
     plan: SamplePlan,
     drift_eps: f64,
-    stream: Option<String>,
+    /// The stream label reports carry (the engine shares its key's
+    /// allocation here).
+    stream: Option<Arc<str>>,
     sink: WindowedSink,
     /// Recently completed windows (`(id, end, merged sample)`, oldest
     /// first) — drift baselines. The closeness statistic assumes the two
@@ -407,7 +409,7 @@ impl Monitor {
         analyses: Arc<Vec<Analysis>>,
         plan: SamplePlan,
         drift_eps: f64,
-        stream: Option<String>,
+        stream: Option<Arc<str>>,
     ) -> Self {
         Monitor {
             n: shape.domain_size(),
@@ -498,7 +500,7 @@ impl Monitor {
         let snap = self.sink.snapshot();
         if snap.seen > 0 {
             let counts_only = WindowReport {
-                stream: self.stream.clone(),
+                stream: self.stream.as_deref().map(String::from),
                 window: snap.window,
                 start: snap.start,
                 end: snap.end,
@@ -533,7 +535,8 @@ impl Monitor {
         analyses: &[Analysis],
     ) -> Result<Vec<Report>, DistError> {
         let mut replay = ReplayOracle::from_sets(snap.n, std::mem::take(&mut snap.lanes));
-        let (reports, spend) = run_analyses_with_plan(&mut replay, snap.seed, analyses, self.plan)?;
+        let (reports, spend) = run_analyses_with_plan(&mut replay, snap.seed, analyses, self.plan)
+            .map_err(|e| self.in_window(e, snap))?;
         debug_assert_eq!(
             replay.remaining(),
             0,
@@ -553,6 +556,28 @@ impl Monitor {
             }
         }
         Ok(reports)
+    }
+
+    /// Names the window an analysis failed on — the stream (if any), the
+    /// window id and its record range `[start, end)` — in front of the
+    /// analysis's own reason, so a keyed run's error says where to look.
+    fn in_window(&self, e: DistError, snap: &WindowSnapshot) -> DistError {
+        let place = match &self.stream {
+            Some(key) => format!("stream '{key}' window {}", snap.window),
+            None => format!("window {}", snap.window),
+        };
+        let place = format!("{place} [{}, {})", snap.start, snap.end);
+        match e {
+            DistError::BadParameter { reason } => DistError::BadParameter {
+                reason: format!("{place}: {reason}"),
+            },
+            DistError::BadTiling { reason } => DistError::BadTiling {
+                reason: format!("{place}: {reason}"),
+            },
+            other => DistError::BadParameter {
+                reason: format!("{place}: {other}"),
+            },
+        }
     }
 
     /// The newest completed window that is *disjoint* from a window
@@ -604,7 +629,8 @@ impl Monitor {
         let reports = self.run_frozen(&mut snap, &batch)?;
         let drift = match self.disjoint_baseline(snap.start) {
             Some(baseline) if baseline.total() >= 2 && current.total() >= 2 => {
-                Some(self.drift_between(baseline, &current, snap.seed)?)
+                let drift = self.drift_between(baseline, &current, snap.seed);
+                Some(drift.map_err(|e| self.in_window(e, &snap))?)
             }
             _ => None,
         };
@@ -616,7 +642,7 @@ impl Monitor {
             self.emitted += 1;
         }
         Ok(WindowReport {
-            stream: self.stream.clone(),
+            stream: self.stream.as_deref().map(String::from),
             window: snap.window,
             start: snap.start,
             end: snap.end,

@@ -35,7 +35,7 @@ use std::collections::VecDeque;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -120,7 +120,9 @@ pub(crate) enum LaneRouter {
     /// of `draw_batch`: disjoint heterogeneous lanes).
     Weighted {
         /// Cumulative size thresholds: lane `i` owns `[cum[i-1], cum[i])`.
-        cum: Vec<u64>,
+        /// Shared: every pane of every sink stamped from one shape points
+        /// at the same thresholds.
+        cum: Arc<[u64]>,
         /// Sum of all lane sizes.
         total: u64,
         /// The dedicated assignment stream.
@@ -128,16 +130,34 @@ pub(crate) enum LaneRouter {
     },
 }
 
+/// Cumulative lane-size thresholds for [`LaneRouter::weighted`].
+pub(crate) fn cumulative(sizes: &[usize]) -> Arc<[u64]> {
+    sizes
+        .iter()
+        .scan(0u64, |acc, &m| {
+            *acc += m as u64;
+            Some(*acc)
+        })
+        .collect()
+}
+
+/// The first-touch reservation of each lane of a pass over `span`
+/// records: the lane's expected share `⌈span · size / Σ sizes⌉`, capped at
+/// its size. One formula covers every router: a single lane expects the
+/// whole span, `r` round-robin lanes of equal size expect `⌈span / r⌉`
+/// each, and weighted lanes expect their weight's share.
+pub(crate) fn first_touch(sizes: &[usize], span: u64) -> impl Iterator<Item = usize> + '_ {
+    let total = sizes.iter().map(|&m| m as u128).sum::<u128>().max(1);
+    sizes.iter().map(move |&m| {
+        let share = (u128::from(span) * m as u128).div_ceil(total);
+        usize::try_from(share).map_or(m, |share| share.min(m))
+    })
+}
+
 impl LaneRouter {
-    /// Builds the weighted router over `sizes` with its assignment stream.
-    pub fn weighted(sizes: &[usize], assign: StdRng) -> Self {
-        let cum: Vec<u64> = sizes
-            .iter()
-            .scan(0u64, |acc, &m| {
-                *acc += m as u64;
-                Some(*acc)
-            })
-            .collect();
+    /// Builds the weighted router over the [`cumulative`] thresholds `cum`
+    /// with its assignment stream.
+    pub fn weighted(cum: Arc<[u64]>, assign: StdRng) -> Self {
         let total = cum.last().copied().unwrap_or(0);
         LaneRouter::Weighted { cum, total, assign }
     }
@@ -417,7 +437,9 @@ fn parse_record(line: &str, lineno: usize) -> Result<Option<usize>, DistError> {
 impl RecordFileOracle {
     /// Opens a record file, scanning it once to count records and fix the
     /// domain: `n_override` when positive (every record must fit, or the
-    /// scan fails with the offending line), else `max record + 1`.
+    /// scan fails with the offending line), else `max record + 1`. A
+    /// domain wider than `u32::MAX` fails: reservoir lanes store samples
+    /// as `u32`.
     pub fn open(path: impl Into<PathBuf>, n_override: usize, seed: u64) -> Result<Self, DistError> {
         let path = path.into();
         let file = std::fs::File::open(&path).map_err(|e| DistError::BadParameter {
@@ -448,8 +470,18 @@ impl RecordFileOracle {
                 reason: format!("{}: no records in input", path.display()),
             });
         }
+        let n = if n_override > 0 { n_override } else { max + 1 };
+        if n > u32::MAX as usize {
+            return Err(DistError::BadParameter {
+                reason: format!(
+                    "{}: domain [0, {n}) exceeds the 32-bit sample range [0, {})",
+                    path.display(),
+                    u32::MAX
+                ),
+            });
+        }
         Ok(RecordFileOracle {
-            n: if n_override > 0 { n_override } else { max + 1 },
+            n,
             path,
             records,
             seed,
@@ -514,8 +546,9 @@ impl RecordFileOracle {
                         self.n
                     );
                     let lane = router.lane_of(t);
+                    // value < n <= u32::MAX (checked at open), so the cast is exact.
                     // lint:allow(checked-indexing): lane_of returns an index below the lane count
-                    reservoirs[lane].offer(value, &mut rngs[lane]);
+                    reservoirs[lane].offer(value as u32, &mut rngs[lane]);
                     t += 1;
                 }
                 Ok(None) => {}
@@ -528,6 +561,16 @@ impl RecordFileOracle {
     fn lane_rngs(&self, first: u64, lanes: usize) -> Vec<StdRng> {
         (0..lanes)
             .map(|i| StdRng::seed_from_u64(stream_seed(self.seed, first + i as u64)))
+            .collect()
+    }
+
+    /// One reservoir per lane of capacity `sizes[i]`, each reserving its
+    /// expected share of this file's records on first touch.
+    fn lanes(&self, sizes: &[usize]) -> Vec<Reservoir> {
+        sizes
+            .iter()
+            .zip(first_touch(sizes, self.records))
+            .map(|(&m, share)| Reservoir::with_first_touch(m, share))
             .collect()
     }
 }
@@ -543,7 +586,7 @@ impl SampleOracle for RecordFileOracle {
         if m == 0 {
             return SampleSet::from_samples(Vec::new());
         }
-        let mut reservoirs = vec![Reservoir::new(m)];
+        let mut reservoirs = self.lanes(&[m]);
         let mut rngs = self.lane_rngs(first, 1);
         self.pour(&mut reservoirs, &mut rngs, &mut LaneRouter::Single);
         // lint:allow(checked-indexing): reservoirs was just built with exactly one lane
@@ -559,7 +602,7 @@ impl SampleOracle for RecordFileOracle {
         if m == 0 {
             return (0..r).map(|_| SampleSet::from_samples(Vec::new())).collect();
         }
-        let mut reservoirs: Vec<Reservoir> = (0..r).map(|_| Reservoir::new(m)).collect();
+        let mut reservoirs = self.lanes(&vec![m; r]);
         let mut rngs = self.lane_rngs(first, r);
         let mut router = LaneRouter::RoundRobin { lanes: r as u64 };
         self.pour(&mut reservoirs, &mut rngs, &mut router);
@@ -578,11 +621,12 @@ impl SampleOracle for RecordFileOracle {
                 .map(|_| SampleSet::from_samples(Vec::new()))
                 .collect();
         }
-        let mut reservoirs: Vec<Reservoir> =
-            sizes.iter().map(|&m| Reservoir::new(m.max(1))).collect();
+        // A zero-size lane is never routed to; capacity 1 keeps it valid.
+        let capacities: Vec<usize> = sizes.iter().map(|&m| m.max(1)).collect();
+        let mut reservoirs = self.lanes(&capacities);
         let mut rngs = self.lane_rngs(first, lanes);
         let assign = StdRng::seed_from_u64(stream_seed(self.seed, first + lanes as u64));
-        let mut router = LaneRouter::weighted(sizes, assign);
+        let mut router = LaneRouter::weighted(cumulative(sizes), assign);
         self.pour(&mut reservoirs, &mut rngs, &mut router);
         sizes
             .iter()
@@ -746,6 +790,16 @@ mod tests {
             msg.contains("record 99") && msg.contains("[0, 50)") && msg.contains("line 3"),
             "unhelpful message: {msg}"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn record_file_rejects_domains_beyond_u32_samples() {
+        let path = temp_records(&[0, 5, 2], "wide");
+        let err = RecordFileOracle::open(&path, u32::MAX as usize + 1, 1).unwrap_err();
+        assert!(matches!(err, DistError::BadParameter { .. }), "{err}");
+        assert!(err.to_string().contains("32-bit"), "{err}");
+        assert!(RecordFileOracle::open(&path, u32::MAX as usize, 1).is_ok());
         std::fs::remove_file(&path).ok();
     }
 

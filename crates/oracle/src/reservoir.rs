@@ -39,6 +39,20 @@
 //! through the same `LaneRouter` and the same per-lane RNGs — remain
 //! bit-identical to each other by construction.
 //!
+//! # Storage
+//!
+//! Samples are held as `u32` — half the bytes of a `usize` lane — since
+//! every producer validates its domain against `u32::MAX` first
+//! ([`SinkShape::new`](crate::SinkShape::new),
+//! [`RecordFileOracle::open`](crate::RecordFileOracle::open)). A new
+//! reservoir reserves nothing. Its first record reserves the *first-touch*
+//! size it was built with (the lane's expected share of the records it
+//! will see, capped at `capacity`), and past that the buffer doubles,
+//! again capped at `capacity`. A reservoir that sees few records
+//! therefore holds about as much as it keeps, not its full capacity;
+//! [`clear`](Reservoir::clear) empties it but keeps the buffer, so a
+//! recycled reservoir fills its next window without allocating.
+//!
 //! Note the statistical caveat (documented rather than hidden): a reservoir
 //! produces a uniform sample *without replacement* of the observed records.
 //! When the stream is itself i.i.d. from `p` and the stream length is much
@@ -62,16 +76,21 @@ struct SkipState {
     w: f64,
 }
 
-/// A fixed-capacity uniform reservoir over a stream of `usize` records.
+/// A fixed-capacity uniform reservoir over a stream of `u32` records.
 ///
-/// See the [module docs](self) for the skip-sampling algorithm and the
-/// seed-stream contract. The public surface is deliberately small: offer
-/// records, snapshot the kept set, or merge two reservoirs lane-wise for
-/// sliding windows.
+/// See the [module docs](self) for the skip-sampling algorithm, the
+/// seed-stream contract and the first-touch storage policy. The public
+/// surface is deliberately small: offer records, snapshot the kept set,
+/// clear it for reuse, or merge two reservoirs lane-wise for sliding
+/// windows.
 #[derive(Debug, Clone)]
 pub struct Reservoir {
-    items: Vec<usize>,
+    /// Kept samples; the buffer is reserved on the first record, not at
+    /// construction.
+    items: Vec<u32>,
     capacity: usize,
+    /// Slots the first record reserves (in `1..=capacity`).
+    first_touch: usize,
     seen: u64,
     /// `None` until the first post-full offer (and after a `merge`);
     /// initialized lazily so clones, merges and snapshots need no RNG.
@@ -97,18 +116,41 @@ fn next_gap<R: Rng + ?Sized>(w: f64, rng: &mut R) -> u64 {
 }
 
 impl Reservoir {
-    /// Creates an empty reservoir holding at most `capacity` records.
+    /// Creates an empty reservoir holding at most `capacity` records. It
+    /// reserves nothing until its first record, which reserves the whole
+    /// capacity.
     ///
     /// # Panics
     /// Panics when `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
+        Self::with_first_touch(capacity, capacity)
+    }
+
+    /// Creates an empty reservoir holding at most `capacity` records whose
+    /// first record reserves `first_touch` slots (clamped to
+    /// `1..=capacity`) — the expected number of records it will keep, so
+    /// a lane that sees only a few records never holds its full capacity.
+    /// Past the first touch the buffer doubles, capped at `capacity`.
+    ///
+    /// # Panics
+    /// Panics when `capacity == 0`.
+    pub fn with_first_touch(capacity: usize, first_touch: usize) -> Self {
         assert!(capacity > 0, "reservoir capacity must be positive");
         Reservoir {
-            items: Vec::with_capacity(capacity),
+            items: Vec::new(),
             capacity,
+            first_touch: first_touch.clamp(1, capacity),
             seen: 0,
             skip: None,
         }
+    }
+
+    /// Empties the reservoir for a fresh stream, keeping its buffer: a
+    /// cleared reservoir refills to its old size without allocating.
+    pub fn clear(&mut self) {
+        self.items.clear();
+        self.seen = 0;
+        self.skip = None;
     }
 
     /// Initializes the skip state on the first post-full offer: `W` starts
@@ -139,13 +181,35 @@ impl Reservoir {
     /// an accepted record costs three RNG draws (slot, `W` update, next
     /// gap) — drawn in that fixed order, which is part of the determinism
     /// contract shared by the push and pull paths.
+    pub fn offer<R: Rng + ?Sized>(&mut self, value: u32, rng: &mut R) {
+        self.offer_lazy(value, || rng);
+    }
+
+    /// [`offer`](Reservoir::offer) with the RNG produced on demand: `rng`
+    /// runs only once the reservoir is full, so a caller can seed a lane's
+    /// stream on its first post-fill offer. The fill phase draws nothing,
+    /// so the draws are the same as `offer`'s.
+    ///
+    /// A fill-phase record that finds the buffer full grows it: to the
+    /// first-touch size on the first record, by doubling after that, never
+    /// past `capacity`.
     // lint:hot-path
-    pub fn offer<R: Rng + ?Sized>(&mut self, value: usize, rng: &mut R) {
-        if self.items.len() < self.capacity {
+    pub fn offer_lazy<'r, R: Rng + ?Sized + 'r>(
+        &mut self,
+        value: u32,
+        rng: impl FnOnce() -> &'r mut R,
+    ) {
+        let len = self.items.len();
+        if len < self.capacity {
+            if len == self.items.capacity() {
+                let grow = if len == 0 { self.first_touch } else { len };
+                self.items.reserve_exact(grow.min(self.capacity - len));
+            }
             self.items.push(value);
             self.seen += 1;
             return;
         }
+        let rng = rng();
         self.ensure_skip(rng);
         self.seen += 1;
         let skipping = match self.skip.as_mut() {
@@ -184,13 +248,13 @@ impl Reservoir {
     }
 
     /// Borrows the current sample.
-    pub fn items(&self) -> &[usize] {
+    pub fn items(&self) -> &[u32] {
         &self.items
     }
 
     /// Snapshots the current contents as a [`SampleSet`].
     pub fn to_sample_set(&self) -> SampleSet {
-        SampleSet::from_samples(self.items.clone())
+        SampleSet::from_samples(self.items.iter().map(|&v| v as usize).collect())
     }
 
     /// Merges two reservoirs into one whose contents approximate a uniform
@@ -238,6 +302,7 @@ impl Reservoir {
         Reservoir {
             items,
             capacity,
+            first_touch: capacity,
             seen: self.seen + other.seen,
             skip: None,
         }
@@ -288,7 +353,7 @@ mod tests {
                 r.offer(v, &mut rng);
             }
             for &v in r.items() {
-                survival[v] += 1;
+                survival[v as usize] += 1;
             }
         }
         for (v, &count) in survival.iter().enumerate() {
@@ -334,10 +399,10 @@ mod tests {
         for _ in 0..trials {
             let mut r = Reservoir::new(6);
             for &v in &records {
-                r.offer(v, &mut rng);
+                r.offer(v as u32, &mut rng);
             }
             for &v in r.items() {
-                new_hits[v] += 1;
+                new_hits[v as usize] += 1;
             }
             for &v in &algorithm_r_reference(&records, 6, &mut rng) {
                 old_hits[v] += 1;
@@ -381,7 +446,7 @@ mod tests {
             calls: 0,
         };
         let mut r = Reservoir::new(8);
-        let records: Vec<usize> = (0..100_000).map(|v| v % 64).collect();
+        let records: Vec<u32> = (0..100_000).map(|v| v % 64).collect();
         for &v in &records {
             r.offer(v, &mut rng);
         }

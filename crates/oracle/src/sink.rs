@@ -39,8 +39,33 @@
 //!   statistically a weighted union, *not* bit-identical to a pull over
 //!   the same records (the merge resamples).
 //!
-//! Memory is `O(lane sizes × panes)` — the sample budget — regardless of
-//! how many records stream through.
+//! # Memory follows the records, not the plan
+//!
+//! A sink retains at most `Σ lane sizes × panes` samples however long the
+//! stream runs, but it only *reserves* what its records use:
+//!
+//! * a pane's lanes reserve nothing when the pane opens. A lane's first
+//!   record reserves its expected share of the pane's `s` records,
+//!   `⌈s · size / Σ sizes⌉` capped at its size (the whole span for a single
+//!   lane, `⌈s / r⌉` for `r` round-robin lanes), and past that the lane
+//!   doubles, never beyond its size. A key that sends a handful of records
+//!   holds a handful of `u32` samples, not its plan;
+//! * samples are stored as `u32` ([`SinkShape::new`] rejects `n >
+//!   u32::MAX`);
+//! * a retired pane is cleared and re-seeded as the next pane, so a
+//!   stream's later windows reuse its lane buffers instead of allocating;
+//! * lane RNGs are seeded on a lane's first post-fill offer (the fill
+//!   phase draws nothing, so the seed streams are unchanged). Their storage
+//!   comes with the lanes when a lane's expected share reaches its size,
+//!   else on that first offer, so a pane whose lanes never fill holds
+//!   none;
+//! * the pane deque holds exactly `panes_per_window` slots, and the lane
+//!   sizes, first-touch sizes and weighted-router thresholds live once per
+//!   shape behind one `Arc`.
+//!
+//! Growth is allocation, so a warm batch stays allocation-free only once
+//! each stream's lanes have reached their high-water mark; a window plan
+//! whose lanes are expected to fill reserves everything on first touch.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -51,7 +76,7 @@ use rand::SeedableRng;
 
 use khist_dist::DistError;
 
-use crate::oracle::{stream_seed, LaneRouter};
+use crate::oracle::{cumulative, first_touch, stream_seed, LaneRouter};
 use crate::reservoir::Reservoir;
 use crate::sample_set::SampleSet;
 
@@ -158,8 +183,46 @@ struct Pane {
     /// Records routed into this pane so far.
     t: u64,
     lanes: Vec<Reservoir>,
+    /// Lane `i`'s stream `stream_seed(seed, i)`, for every lane at once;
+    /// empty until some lane's first post-fill offer. Reserved with the
+    /// lanes when the shape expects a lane to fill (see
+    /// [`Layout::fills`]), else on that first offer.
     rngs: Vec<StdRng>,
     router: LaneRouter,
+}
+
+impl Pane {
+    /// Routes record `t` of the pane to its lane and offers it there.
+    // lint:hot-path
+    fn offer(&mut self, value: u32) {
+        let lane = self.router.lane_of(self.t);
+        self.t += 1;
+        let Pane {
+            seed, lanes, rngs, ..
+        } = self;
+        let count = lanes.len();
+        // lint:allow(checked-indexing): lane_of returns an index below the lane count
+        lanes[lane].offer_lazy(value, || {
+            if rngs.is_empty() {
+                rngs.extend(
+                    (0..count).map(|i| StdRng::seed_from_u64(stream_seed(*seed, i as u64))),
+                );
+            }
+            // lint:allow(checked-indexing): rngs holds one stream per lane, lane < count
+            &mut rngs[lane]
+        });
+    }
+
+    /// Turns a retired pane into a fresh one: empty lanes that keep their
+    /// buffers, lane RNGs left to be re-seeded from `seed` on demand.
+    fn recycle(&mut self, seed: u64, start: u64, router: LaneRouter) {
+        self.seed = seed;
+        self.start = start;
+        self.t = 0;
+        self.lanes.iter_mut().for_each(Reservoir::clear);
+        self.rngs.clear();
+        self.router = router;
+    }
 }
 
 /// Which router shape the sink's plan calls for — mirrors the dispatch in
@@ -173,6 +236,43 @@ enum LaneKind {
     Weighted,
 }
 
+/// Everything every sink of one shape shares, held once behind the
+/// shape's `Arc`: a sink per stream costs one pointer to it.
+#[derive(Debug, PartialEq, Eq)]
+struct Layout {
+    n: usize,
+    window: Window,
+    kind: LaneKind,
+    /// Lane capacities in draw order (`[main?, m, m, …]`).
+    sizes: Box<[usize]>,
+    /// Each lane's first-touch reservation: its expected share of one
+    /// pane's records.
+    first_touch: Box<[usize]>,
+    /// The weighted router's cumulative thresholds (empty for the other
+    /// kinds).
+    cum: Arc<[u64]>,
+    /// Whether some lane's expected share reaches its capacity, so a pane
+    /// is expected to need its lane RNGs: it then reserves them up front,
+    /// like its lanes' first touch, instead of on its first post-fill
+    /// offer.
+    fills: bool,
+}
+
+impl Layout {
+    /// The lane router of a pane seeded with `seed`.
+    fn router(&self, seed: u64) -> LaneRouter {
+        let lanes = self.sizes.len() as u64;
+        match self.kind {
+            LaneKind::Single => LaneRouter::Single,
+            LaneKind::RoundRobin => LaneRouter::RoundRobin { lanes },
+            LaneKind::Weighted => LaneRouter::weighted(
+                Arc::clone(&self.cum),
+                StdRng::seed_from_u64(stream_seed(seed, lanes)),
+            ),
+        }
+    }
+}
+
 /// The validated lane shape of a [`WindowedSink`] — everything about a
 /// sink *except* its seed and live state.
 ///
@@ -181,16 +281,11 @@ enum LaneKind {
 /// seed without re-checking or re-deriving anything. A process that owns
 /// thousands of keyed streams with identical configuration — the
 /// multi-stream engine in `khist-core` — shares one shape across all of
-/// them and pays only a `Vec` clone per stream.
+/// them: the domain, window, lane sizes, first-touch sizes and router
+/// thresholds sit behind one `Arc` that every stamped sink points at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SinkShape {
-    n: usize,
-    window: Window,
-    /// Lane capacities behind an `Arc`: stamping a sink per stream shares
-    /// one allocation across every stream of the engine, so a million idle
-    /// streams hold a million pointers, not a million `Vec`s.
-    sizes: Arc<[usize]>,
-    kind: LaneKind,
+    layout: Arc<Layout>,
 }
 
 impl SinkShape {
@@ -203,9 +298,10 @@ impl SinkShape {
     /// [`draw_sets`](crate::SampleOracle::draw_sets) /
     /// [`draw_batch`](crate::SampleOracle::draw_batch)).
     ///
-    /// Fails on a zero domain, degenerate windows (zero span; a sliding
-    /// step that is zero or does not divide the span), or a plan that
-    /// retains no samples.
+    /// Fails on a zero domain or one wider than `u32::MAX` (lanes store
+    /// `u32` samples), degenerate windows (zero span; a sliding step that
+    /// is zero or does not divide the span), or a plan that retains no
+    /// samples.
     pub fn new(
         n: usize,
         window: Window,
@@ -216,6 +312,12 @@ impl SinkShape {
         let bad = |reason: String| DistError::BadParameter { reason };
         if n == 0 {
             return Err(bad("sink domain must be non-empty".into()));
+        }
+        if n > u32::MAX as usize {
+            return Err(bad(format!(
+                "sink domain [0, {n}) exceeds the 32-bit sample range [0, {})",
+                u32::MAX
+            )));
         }
         match window {
             Window::Tumbling { span: 0 } => {
@@ -243,40 +345,52 @@ impl SinkShape {
             sizes.resize(r + 1, m);
             (LaneKind::Weighted, sizes)
         };
+        let cum = match kind {
+            LaneKind::Weighted => cumulative(&sizes),
+            LaneKind::Single | LaneKind::RoundRobin => Arc::from([]),
+        };
+        let first_touch: Box<[usize]> = first_touch(&sizes, window.pane_span()).collect();
+        let fills = sizes
+            .iter()
+            .zip(first_touch.iter())
+            .any(|(size, share)| share >= size);
         Ok(SinkShape {
-            n,
-            window,
-            sizes: sizes.into(),
-            kind,
+            layout: Arc::new(Layout {
+                n,
+                window,
+                kind,
+                first_touch,
+                sizes: sizes.into(),
+                cum,
+                fills,
+            }),
         })
     }
 
     /// Domain size records must lie in.
     pub fn domain_size(&self) -> usize {
-        self.n
+        self.layout.n
     }
 
     /// The window policy.
     pub fn window(&self) -> Window {
-        self.window
+        self.layout.window
     }
 
     /// Lane capacities in draw order (`[main?, m, m, …]`).
     pub fn lane_sizes(&self) -> &[usize] {
-        &self.sizes
+        &self.layout.sizes
     }
 
     /// Stamps out an empty sink of this shape seeded with `seed` — the
-    /// cheap per-stream constructor (no re-validation, no `Vec` copy: the
-    /// lane sizes are shared behind an `Arc`).
+    /// cheap per-stream constructor: no re-validation and no allocation
+    /// until the first record.
     pub fn sink(&self, seed: u64) -> WindowedSink {
         WindowedSink {
-            n: self.n,
+            layout: Arc::clone(&self.layout),
             seed,
-            window: self.window,
-            sizes: Arc::clone(&self.sizes),
-            kind: self.kind,
             panes: VecDeque::new(),
+            spare: false,
             seen: 0,
             next_pane_id: 0,
             next_window_id: 0,
@@ -287,15 +401,17 @@ impl SinkShape {
 
 /// The push side of a record stream: plan-shaped reservoir lanes behind
 /// tumbling or sliding windows, built by [`SinkShape::sink`]. See the
-/// [module docs](self) for the push≡pull bit-identity contract.
+/// [module docs](self) for the push≡pull bit-identity contract and the
+/// memory policy.
 #[derive(Debug, Clone)]
 pub struct WindowedSink {
-    n: usize,
+    layout: Arc<Layout>,
     seed: u64,
-    window: Window,
-    sizes: Arc<[usize]>,
-    kind: LaneKind,
+    /// At most `panes_per_window` panes, oldest first.
     panes: VecDeque<Pane>,
+    /// Whether the front pane is retired — kept only so the next pane can
+    /// reuse its buffers, and not part of any window.
+    spare: bool,
     seen: u64,
     next_pane_id: u64,
     next_window_id: u64,
@@ -305,12 +421,12 @@ pub struct WindowedSink {
 impl WindowedSink {
     /// The domain size `n` records must lie in.
     pub fn domain_size(&self) -> usize {
-        self.n
+        self.layout.n
     }
 
     /// The configured window policy.
     pub fn window(&self) -> Window {
-        self.window
+        self.layout.window
     }
 
     /// The construction seed.
@@ -320,14 +436,19 @@ impl WindowedSink {
 
     /// Lane capacities in draw order (`[main?, m, m, …]`).
     pub fn lane_sizes(&self) -> &[usize] {
-        &self.sizes
+        &self.layout.sizes
+    }
+
+    /// The panes of the current window, oldest first (a retired spare
+    /// excluded).
+    fn live(&self) -> impl Iterator<Item = &Pane> {
+        self.panes.iter().skip(usize::from(self.spare))
     }
 
     /// Samples currently retained across all live panes — bounded by
     /// `Σ lane_sizes × panes_per_window` no matter how long the stream is.
     pub fn kept(&self) -> u64 {
-        self.panes
-            .iter()
+        self.live()
             .flat_map(|p| p.lanes.iter())
             .map(|r| r.len() as u64)
             .sum()
@@ -344,33 +465,46 @@ impl WindowedSink {
         self.completed.drain(..).collect()
     }
 
-    fn new_pane(&mut self) -> Pane {
+    /// Opens the next pane at the back of the deque: the retired spare,
+    /// cleared and re-seeded, when there is one; otherwise a new pane
+    /// whose lanes reserve nothing until their first record. The deque is
+    /// sized to exactly `panes_per_window` panes on first use.
+    fn open_pane(&mut self) {
         let id = self.next_pane_id;
         self.next_pane_id += 1;
         let seed = window_seed(self.seed, id);
-        let lane_count = self.sizes.len();
-        let lanes: Vec<Reservoir> = self.sizes.iter().map(|&m| Reservoir::new(m)).collect();
-        let rngs: Vec<StdRng> = (0..lane_count)
-            .map(|i| StdRng::seed_from_u64(stream_seed(seed, i as u64)))
+        let router = self.layout.router(seed);
+        if std::mem::take(&mut self.spare) {
+            if let Some(mut pane) = self.panes.pop_front() {
+                pane.recycle(seed, self.seen, router);
+                self.panes.push_back(pane);
+                return;
+            }
+        }
+        if self.panes.capacity() == 0 {
+            let slots = self.layout.window.panes_per_window();
+            self.panes.reserve_exact(slots);
+        }
+        let lanes = self
+            .layout
+            .sizes
+            .iter()
+            .zip(self.layout.first_touch.iter())
+            .map(|(&size, &share)| Reservoir::with_first_touch(size, share))
             .collect();
-        let router = match self.kind {
-            LaneKind::Single => LaneRouter::Single,
-            LaneKind::RoundRobin => LaneRouter::RoundRobin {
-                lanes: lane_count as u64,
-            },
-            LaneKind::Weighted => LaneRouter::weighted(
-                &self.sizes,
-                StdRng::seed_from_u64(stream_seed(seed, lane_count as u64)),
-            ),
+        let rngs = if self.layout.fills {
+            Vec::with_capacity(self.layout.sizes.len())
+        } else {
+            Vec::new()
         };
-        Pane {
+        self.panes.push_back(Pane {
             seed,
             start: self.seen,
             t: 0,
             lanes,
             rngs,
             router,
-        }
+        });
     }
 
     /// Freezes the live panes (oldest first) into window `id`'s snapshot,
@@ -379,16 +513,17 @@ impl WindowedSink {
     /// stream; several panes (sliding windows) fold lane-wise through
     /// [`Reservoir::merge`] with a merge stream derived from `(seed, id)`.
     fn freeze(&self, id: u64, complete: bool) -> WindowSnapshot {
-        let oldest = self.panes.front();
+        let oldest = self.live().next();
         let seed = oldest.map_or_else(|| window_seed(self.seed, id), |p| p.seed);
         let start = oldest.map_or(self.seen, |p| p.start);
-        let seen: u64 = self.panes.iter().map(|p| p.t).sum();
+        let seen: u64 = self.live().map(|p| p.t).sum();
         let mut merge_rng = StdRng::seed_from_u64(stream_seed(self.seed ^ MERGE_SALT, id));
-        let mut lanes = Vec::with_capacity(self.sizes.len());
+        let lane_count = self.layout.sizes.len();
+        let mut lanes = Vec::with_capacity(lane_count);
         let mut kept = 0;
-        for lane in 0..self.sizes.len() {
+        for lane in 0..lane_count {
             // lint:allow(checked-indexing): every pane is built with sizes.len() lanes
-            let mut reservoirs = self.panes.iter().map(|p| &p.lanes[lane]);
+            let mut reservoirs = self.live().map(|p| &p.lanes[lane]);
             let set = match reservoirs.next() {
                 None => SampleSet::from_samples(Vec::new()),
                 Some(first) => reservoirs
@@ -402,7 +537,7 @@ impl WindowedSink {
         }
         WindowSnapshot {
             window: id,
-            n: self.n,
+            n: self.layout.n,
             start,
             end: start + seen,
             seen,
@@ -416,14 +551,14 @@ impl WindowedSink {
     /// Handles a pane reaching its span: once the live panes cover a whole
     /// window (one pane when tumbling, `span / step` when sliding) they
     /// freeze into the next completed snapshot and the oldest pane
-    /// retires. Tumbling window `w` is pane `w`, so one counter numbers
-    /// both policies' windows.
+    /// retires to be the spare the next pane reuses. Tumbling window `w`
+    /// is pane `w`, so one counter numbers both policies' windows.
     fn complete_pane(&mut self) {
-        if self.panes.len() == self.window.panes_per_window() {
+        if self.live().count() == self.layout.window.panes_per_window() {
             let snap = self.freeze(self.next_window_id, true);
             self.next_window_id += 1;
             self.completed.push_back(snap);
-            self.panes.pop_front();
+            self.spare = true;
         }
     }
 
@@ -431,21 +566,17 @@ impl WindowedSink {
     /// record lies outside `[0, n)`.
     // lint:hot-path
     pub fn push(&mut self, value: usize) -> Result<(), DistError> {
-        if value >= self.n {
-            return Err(out_of_domain(value, self.n));
+        if value >= self.layout.n {
+            return Err(out_of_domain(value, self.layout.n));
         }
-        let pane_span = self.window.pane_span();
-        let needs_new_pane = self.panes.back().is_none_or(|p| p.t >= pane_span);
-        if needs_new_pane {
-            let pane = self.new_pane();
-            self.panes.push_back(pane);
+        let pane_span = self.layout.window.pane_span();
+        if self.panes.back().is_none_or(|p| p.t >= pane_span) {
+            self.open_pane();
         }
-        // lint:allow(no-panic): the needs_new_pane branch above guarantees a back pane
+        // lint:allow(no-panic): the open_pane branch above guarantees a back pane
         let pane = self.panes.back_mut().expect("pane just ensured");
-        let lane = pane.router.lane_of(pane.t);
-        // lint:allow(checked-indexing): lane_of returns an index below the lane count
-        pane.lanes[lane].offer(value, &mut pane.rngs[lane]);
-        pane.t += 1;
+        // value < n <= u32::MAX (checked by SinkShape::new), so the cast is exact.
+        pane.offer(value as u32);
         let full = pane.t == pane_span;
         self.seen += 1;
         if full {
@@ -581,6 +712,43 @@ mod tests {
         let mut oracle = RecordFileOracle::open(&path, 32, 17).unwrap();
         assert_eq!(window.lanes, oracle.draw_batch(&[120, 50, 50, 50]));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn recycled_panes_match_record_file_draw_batch_per_window() {
+        // Ten tumbling windows through one sink: every window after the
+        // first runs on the retired pane's recycled buffers, and each must
+        // still equal a pull over exactly that window's records seeded
+        // with window_seed(s, w). At span 300 every lane overflows its
+        // size (lane RNGs reserved up front); at span 90 the lanes expect
+        // to stay in their fill phase (RNGs reserved on demand).
+        for span in [300, 90] {
+            let records = stream(10 * span, 32);
+            let mut sink = SinkShape::new(32, Window::Tumbling { span: span as u64 }, 60, 3, 25)
+                .unwrap()
+                .sink(23);
+            sink.push_all(&records).unwrap();
+            let windows = sink.drain_completed();
+            assert_eq!(windows.len(), 10);
+            for (w, window) in windows.iter().enumerate() {
+                let slice = &records[w * span..(w + 1) * span];
+                let path = temp_records(slice, "recycle");
+                let seed = window_seed(23, w as u64);
+                let mut oracle = RecordFileOracle::open(&path, 32, seed).unwrap();
+                assert_eq!(window.seed, seed);
+                let pulled = oracle.draw_batch(&[60, 25, 25, 25]);
+                assert_eq!(window.lanes, pulled, "span {span} window {w}");
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_domains_beyond_u32_samples() {
+        let wide = u32::MAX as usize + 1;
+        let err = SinkShape::new(wide, Window::Tumbling { span: 10 }, 5, 0, 0).unwrap_err();
+        assert!(matches!(err, DistError::BadParameter { .. }), "{err}");
+        assert!(SinkShape::new(wide - 1, Window::Tumbling { span: 10 }, 5, 0, 0).is_ok());
     }
 
     #[test]

@@ -1448,6 +1448,49 @@ mod tests {
     }
 
     #[test]
+    fn watch_errors_name_the_failing_window() {
+        // 40-record windows are thin enough that a weighted lane of the
+        // default batch can come up empty, which fails the tester: the
+        // error must name the window (and, keyed, the stream) it came from.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let values: Vec<usize> = (0..3_000).map(|_| rng.random_range(0..256)).collect();
+        let plain: String = values.iter().map(|v| format!("{v}\n")).collect();
+        let keyed: String = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| format!("k{} {v}\n", i % 3))
+            .collect();
+        for (text, key_field) in [(plain, None), (keyed, Some(0))] {
+            let opts = WatchOptions {
+                k: 8,
+                eps: 0.1,
+                n: 256,
+                seed: 0,
+                every: 40,
+                sliding: false,
+                runs: strings(&["learn", "l2", "uniformity"]),
+                json: true,
+                key_field,
+                shards: 1,
+                fleet: false,
+            };
+            let err = run_watch(text.as_bytes(), &mut Vec::new(), &opts).unwrap_err();
+            assert!(err.contains("need non-empty sample sets"), "{err}");
+            let place = err
+                .split("window ")
+                .nth(1)
+                .unwrap_or_else(|| panic!("error names no window: {err}"));
+            let (id, range) = place.split_once(' ').unwrap();
+            let w: u64 = id.parse().unwrap();
+            assert!(
+                range.starts_with(&format!("[{}, {}): ", 40 * w, 40 * w + 40)),
+                "{err}"
+            );
+            assert_eq!(key_field.is_some(), err.contains("stream 'k"), "{err}");
+        }
+    }
+
+    #[test]
     fn watch_rejects_streams_it_cannot_size() {
         let opts = WatchOptions {
             k: 2,
